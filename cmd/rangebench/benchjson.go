@@ -10,6 +10,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"strings"
@@ -319,4 +320,81 @@ func roundTo(v float64, digits int) float64 {
 		scale *= 10
 	}
 	return float64(int64(v*scale+0.5)) / scale
+}
+
+// readBenchDoc loads one BENCH-schema JSON document.
+func readBenchDoc(path string) (*benchDoc, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	var doc benchDoc
+	if err := json.Unmarshal(data, &doc); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return &doc, nil
+}
+
+// diffBench writes one line per engine row and per program row shared
+// by both documents: old and new ns/op and the speedup ratio old/new
+// (above 1 means the new document is faster). A ratio below floor is
+// marked REGRESSION. It returns the number of compared rows and of
+// regressions.
+func diffBench(w io.Writer, oldDoc, newDoc *benchDoc, floor float64) (rows, regressions int) {
+	line := func(label string, oldNs, newNs int64) {
+		if oldNs <= 0 || newNs <= 0 {
+			return
+		}
+		ratio := float64(oldNs) / float64(newNs)
+		mark := ""
+		if ratio < floor {
+			mark = "  REGRESSION"
+			regressions++
+		}
+		rows++
+		fmt.Fprintf(w, "%-24s %12d %12d %7.2fx%s\n", label, oldNs, newNs, ratio, mark)
+	}
+	fmt.Fprintf(w, "%-24s %12s %12s %8s\n", "row", "old ns/op", "new ns/op", "old/new")
+	for _, o := range oldDoc.Results {
+		for _, n := range newDoc.Results {
+			if n.Name != o.Name {
+				continue
+			}
+			line(o.Name, o.NsPerOp, n.NsPerOp)
+			for _, op := range o.Programs {
+				for _, np := range n.Programs {
+					if np.Name == op.Name {
+						line(o.Name+"/"+op.Name, op.NsPerOp, np.NsPerOp)
+					}
+				}
+			}
+		}
+	}
+	return rows, regressions
+}
+
+// runBenchDiff compares two BENCH-schema documents row by row. Exit
+// codes: 0 no regression, 1 some shared row's speedup fell below floor,
+// 2 a document could not be read or the two share no row.
+func runBenchDiff(oldPath, newPath string, floor float64) int {
+	oldDoc, err := readBenchDoc(oldPath)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "rangebench: -benchdiff: %v\n", err)
+		return 2
+	}
+	newDoc, err := readBenchDoc(newPath)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "rangebench: -benchdiff: %v\n", err)
+		return 2
+	}
+	rows, regressions := diffBench(os.Stdout, oldDoc, newDoc, floor)
+	switch {
+	case rows == 0:
+		fmt.Fprintf(os.Stderr, "rangebench: -benchdiff: %s and %s share no rows\n", oldPath, newPath)
+		return 2
+	case regressions > 0:
+		fmt.Fprintf(os.Stderr, "rangebench: -benchdiff: %d of %d rows below floor %.2f\n", regressions, rows, floor)
+		return 1
+	}
+	return 0
 }

@@ -31,8 +31,9 @@
 // -benchdiff old.json new.json compares two such documents and prints
 // per-engine and per-program speedup ratios (old over new); any shared
 // row whose ratio falls below -benchdiff-floor (default 0.8) is marked
-// REGRESSION and makes the command exit 1. CI's bench smoke runs this
-// against the committed baselines.
+// REGRESSION and makes the command exit 1; an unreadable document, or
+// two that share no row, exits 2. CI's bench smoke runs this against
+// the committed baselines.
 //
 // -cpuprofile / -memprofile write pprof profiles of the whole run, for
 // chasing interpreter hot spots (`go tool pprof`).
@@ -55,7 +56,8 @@
 //
 // -times appends the wall-clock columns (Range/Nascent) to Tables 2–3.
 // They vary run to run, so they are excluded by default to keep the
-// output reproducible.
+// output reproducible. In-process, each timed table runs on a fresh
+// pool, so every job pays (and is charged) its own compile.
 //
 // -trace logs each evaluation job's stages to stderr, followed by the
 // pool's aggregate metrics.
@@ -217,20 +219,30 @@ func run(table, jobs, fleetN int, chaosSpec string, engine nascent.Engine, times
 		r = report.New(cfg)
 	}
 
+	// A bytecode memo hit compiles nothing, so a timed table that reused
+	// an earlier table's programs would show their compile time as zero:
+	// in-process, each timed table measures on a fresh pool.
+	freshPerTable := times && fleetN == 0
 	tables := []struct {
 		n int
-		f func() (string, error)
+		f func(*report.Runner) (string, error)
 	}{
-		{1, r.Table1},
-		{2, r.Table2},
-		{3, r.Table3},
+		{1, (*report.Runner).Table1},
+		{2, (*report.Runner).Table2},
+		{3, (*report.Runner).Table3},
 	}
 	failed, partialTables := 0, 0
 	for _, tb := range tables {
 		if table != 0 && table != tb.n {
 			continue
 		}
-		out, err := tb.f()
+		if freshPerTable {
+			r = report.New(cfg)
+		}
+		out, err := tb.f(r)
+		if trace && freshPerTable {
+			fmt.Fprintf(os.Stderr, "%s\n", r.Metrics())
+		}
 		switch {
 		case errors.Is(err, report.ErrPartial):
 			// The table rendered around its failed cells: print it, then
@@ -248,7 +260,7 @@ func run(table, jobs, fleetN int, chaosSpec string, engine nascent.Engine, times
 			fmt.Println(out)
 		}
 	}
-	if trace {
+	if trace && !freshPerTable {
 		fmt.Fprintf(os.Stderr, "%s\n", r.Metrics())
 	}
 	if failed > 0 || partialTables > 0 {

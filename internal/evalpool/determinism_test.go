@@ -35,11 +35,9 @@ func observe(jobs []evalpool.Job, results []evalpool.Result) []observable {
 		o.Instructions = r.Res.Instructions
 		o.Checks = r.Res.Checks
 		o.Output = r.Res.Output
-		if r.Prog != nil {
-			o.StaticChecks = r.Prog.StaticChecks()
-			if r.Prog.Opt != nil {
-				o.Opt = *r.Prog.Opt
-			}
+		o.StaticChecks = r.StaticChecks
+		if r.Opt != nil {
+			o.Opt = *r.Opt
 		}
 		out[i] = o
 	}

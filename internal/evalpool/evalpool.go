@@ -11,11 +11,18 @@
 //     iterates the result slice produces byte-identical output at any
 //     worker count (the golden-table tests in internal/report pin this).
 //
-//   - Shared front ends: compile artifacts are memoized by (source
-//     hash, filename), so the ~20 optimizer variants of one program
-//     share a single parse/semantic-analysis. Each job still lowers and
-//     optimizes fresh IR — nascent.Frontend is immutable and safe for
-//     concurrent Compile calls — so no mutable state crosses jobs.
+//   - Shared compile work: a bytecode job (every engine but the tree
+//     walker) looks up its bytecode memo entry, keyed by source hash,
+//     filename, options and engine, before any compile work. Only the
+//     job that fills the entry runs the front end, lowering, the scheme
+//     optimizer and the bytecode pipeline — or decodes the program from
+//     the disk cache — and every later job for the same key just runs
+//     the shared program. Jobs that need the IR itself (tree-engine,
+//     Mutate and SkipRun jobs) lower fresh IR every time. Front ends are
+//     memoized by (source hash, filename) for both kinds, so the ~20
+//     optimizer variants of one program share a single
+//     parse/semantic-analysis; nascent.Frontend is immutable and safe
+//     for concurrent Compile calls.
 //
 //   - Observable cost: the pool aggregates per-stage wall-clock and
 //     interpreter counters into Metrics, and an optional Trace hook
@@ -54,7 +61,9 @@ type Job struct {
 	Opts nascent.Options
 	// Run bounds execution (zero value = interpreter defaults).
 	Run nascent.RunConfig
-	// SkipRun compiles without executing (Result.Res stays zero).
+	// SkipRun compiles without executing (Result.Res stays zero). A
+	// SkipRun job never consults the bytecode memo, so its Result
+	// always carries the lowered Prog: callers that need the IR use it.
 	SkipRun bool
 	// Mutate, when non-nil, is applied to the compiled program before
 	// it runs. The oracle uses it to inject deliberate miscompilations;
@@ -78,23 +87,40 @@ type Runner interface {
 	Run(cfg nascent.RunConfig) (nascent.RunResult, error)
 }
 
-// Result is the outcome of one Job. Exactly one of Err / (Prog, Res)
-// is meaningful; Err carries the first failing stage's error.
+// Result is the outcome of one Job. Err carries the first failing
+// stage's error; when it is nil the compile facts and Res are
+// meaningful.
 type Result struct {
-	// Prog is the compiled program (nil when compilation failed). It is
-	// owned by the caller after Evaluate returns: post-processing that
-	// mutates its IR (e.g. loop analysis inserting preheaders) is safe.
+	// Prog is the program this job lowered and optimized. Tree-engine,
+	// Mutate and SkipRun jobs always lower, so their Prog is set
+	// whenever compilation succeeded. A bytecode job lowers only to fill
+	// its bytecode memo entry: Prog is nil on a memo hit and on a fill
+	// decoded from the disk cache. It is owned by the caller after
+	// Evaluate returns: post-processing that mutates its IR (e.g. loop
+	// analysis inserting preheaders) is safe.
 	Prog *nascent.Program
+	// StaticChecks and Opt are the compiled program's static check
+	// count and optimizer report (Opt is nil for an unoptimized build).
+	// They are set whenever compilation succeeded, memo hits included.
+	// Jobs served by one memo entry share one Opt: treat it as
+	// read-only.
+	StaticChecks int
+	Opt          *nascent.OptReport
 	// Res is the run result (zero when SkipRun or on error).
 	Res nascent.RunResult
 	// Err is the first error of the job's pipeline, wrapped with the
 	// job name and stage.
 	Err error
-	// Stage timings for this job. Frontend is zero on a cache hit: the
-	// shared parse/analyze cost is charged to the job that populated
-	// the cache entry (and appears once in Metrics.FrontendTime).
+	// Stage timings for this job. Each cost is charged to the job that
+	// paid it: Frontend is zero when the front end came from its memo,
+	// and Frontend, Lower and Optimize are all zero on a bytecode memo
+	// hit or a disk-cache fill, where the job lowers nothing. Run
+	// includes the bytecode pipeline (vm.Compile and the engine's
+	// rewrites) for the job that compiled it.
 	Frontend, Lower, Optimize, Run time.Duration
-	// CacheHit reports that the front end came from the memo table.
+	// CacheHit reports that the job ran no front end: it came from the
+	// front-end memo, or the job's bytecode came from the bytecode memo
+	// or the disk cache.
 	CacheHit bool
 	// Attempts is how many times the job ran before this result (1
 	// unless supervision retried it after a worker death or timeout).
@@ -118,7 +144,9 @@ type Event struct {
 	Stage string
 	// Duration is the stage's wall-clock time.
 	Duration time.Duration
-	// CacheHit is set on frontend events served from the memo table.
+	// CacheHit is set on frontend events served from the front-end
+	// memo, and on the single zero-duration compile event of a job
+	// whose bytecode came from the bytecode memo or the disk cache.
 	CacheHit bool
 	// Err is the stage's error, if it failed.
 	Err error
@@ -138,18 +166,23 @@ type Metrics struct {
 	Jobs int
 	// Errors is the number of jobs that returned an error.
 	Errors int
-	// FrontendCompiles / FrontendHits split the memo table's traffic.
+	// FrontendCompiles counts jobs that ran the front end (parse and
+	// semantic analysis); FrontendHits counts jobs that did not, because
+	// the front-end memo, the bytecode memo or the disk cache served
+	// them.
 	FrontendCompiles int
 	FrontendHits     int
 	// BytecodeCompiles / BytecodeHits split the bytecode memo's traffic
-	// (EngineVM and EngineVMOpt jobs only; tree-walker jobs never touch
-	// it). BytecodeDiskHits counts memo fills satisfied by the disk
-	// cache — a decode instead of a compile.
+	// (bytecode-engine jobs without Mutate or SkipRun; other jobs never
+	// touch it). BytecodeDiskHits counts memo fills satisfied by the
+	// disk cache — a decode instead of a compile.
 	BytecodeCompiles int
 	BytecodeHits     int
 	BytecodeDiskHits int
 	// Stage wall-clock totals, summed across workers (under full
-	// parallelism the sum exceeds elapsed time).
+	// parallelism the sum exceeds elapsed time). CompileTime is lowering
+	// plus the scheme optimizer, so bytecode memo hits add nothing to
+	// it; RunTime includes each bytecode memo fill's bytecode pipeline.
 	FrontendTime time.Duration
 	CompileTime  time.Duration
 	RunTime      time.Duration
@@ -207,13 +240,20 @@ type bcKey struct {
 }
 
 // bcEntry is a once-guarded bytecode memo slot, like feEntry. Exactly
-// one of prog/jit/trd is set after a successful fill, by engine.
+// one of prog/jit/trd is set after a successful fill, by engine. The
+// entry also keeps the small compile facts a job reports, the same ones
+// a progcache.Entry carries, so a hit needs no IR.
 type bcEntry struct {
-	once sync.Once
-	prog *vm.Program     // vm / vmopt: shared immutable program
-	jit  *tier.JitHandle // vmjit: profile-on-first-run closure handle
-	trd  *tier.Program   // tiered: hotness-driven tiering controller
-	err  error
+	once         sync.Once
+	prog         *vm.Program     // vm / vmopt / vmrce: shared immutable program
+	jit          *tier.JitHandle // vmjit: profile-on-first-run closure handle
+	trd          *tier.Program   // tiered: hotness-driven tiering controller
+	staticChecks int
+	opt          *nascent.OptReport
+	// err is a front-end, lowering or optimizer failure; bcErr a
+	// bytecode-pipeline failure, which jobs report as a run error.
+	err   error
+	bcErr error
 }
 
 // feEntry is a once-guarded memo slot: the first job to need a front
@@ -373,28 +413,53 @@ func bytecodeEngine(eng nascent.Engine) bool {
 	return false
 }
 
-// execute runs a compiled job under its configured engine. Bytecode
-// jobs (every engine except the tree walker) without a Mutate hook
-// share compiled programs through the bytecode memo: the compile
-// pipeline is deterministic, so every job with the same (source,
-// filename, options, engine) lowers to equivalent IR, and one
-// immutable vm.Program serves them all — EngineVMOpt entries
-// additionally run the superinstruction optimizer once, EngineVMRCE
-// entries the guard/deopt range-check-elimination pipeline, and both
-// share the rewritten program, while EngineVMJit and EngineTiered entries hold
-// a mutable tier handle whose hotness state persists across jobs (the
-// second job for the same source runs warmer than the first). A
-// Mutate hook (the oracle's miscompilation injector) changes the IR
-// after compilation, so mutated jobs bypass the memo and run through
-// the ordinary per-run dispatch.
-func (p *Pool) execute(job *Job, key feKey, prog *nascent.Program) (nascent.RunResult, error) {
-	eng := job.Run.Engine
-	if !bytecodeEngine(eng) || job.Mutate != nil {
-		return prog.RunWith(job.Run)
+// frontendKey is a job's front-end memo key.
+func frontendKey(job *Job) feKey {
+	return feKey{hash: sha256.Sum256([]byte(job.Source)), filename: job.Filename}
+}
+
+// memoized reports whether a job runs through the bytecode memo: a
+// bytecode engine, no Mutate hook (it rewrites the IR the memo would
+// share), and a run to do (SkipRun callers want the IR itself).
+func memoized(job *Job) bool {
+	return bytecodeEngine(job.Run.Engine) && job.Mutate == nil && !job.SkipRun
+}
+
+// compile runs the front end (through its memo), lowering and the
+// scheme optimizer for one job, recording the stage timings and compile
+// facts in res and emitting the frontend and compile trace events.
+func (p *Pool) compile(i int, job *Job, key feKey, res *Result) (*nascent.Program, error) {
+	fe, feDur, hit, err := p.frontend(job, key)
+	res.Frontend, res.CacheHit = feDur, hit
+	p.emit(Event{Job: i, Name: job.Name, Stage: StageFrontend, Duration: feDur, CacheHit: hit, Err: err})
+	if err != nil {
+		return nil, err
 	}
+	var st nascent.StageTimes
+	prog, err := fe.CompileTimed(job.Opts, &st)
+	res.Lower, res.Optimize = st.Lower, st.Optimize
+	p.emit(Event{Job: i, Name: job.Name, Stage: StageCompile, Duration: st.Lower + st.Optimize, Err: err})
+	if err != nil {
+		return nil, err
+	}
+	res.StaticChecks, res.Opt = prog.StaticChecks(), prog.Opt
+	return prog, nil
+}
+
+// bytecode returns the bytecode memo entry of a memoized job, filling
+// it on first use. Every job for the same (source, filename, options,
+// engine) shares one entry: the compile pipeline is deterministic, so
+// one immutable vm.Program serves them all — EngineVMOpt entries hold
+// the superinstruction-optimized rewrite, EngineVMRCE entries the
+// guard/deopt range-check-elimination pipeline, while EngineVMJit and
+// EngineTiered entries hold a mutable tier handle whose hotness state
+// persists across jobs (the second job for the same source runs warmer
+// than the first). Only the filling job does compile work, so only it
+// returns a lowered program; it is nil on a hit and on a disk fill.
+func (p *Pool) bytecode(i int, job *Job, key feKey, res *Result) (*bcEntry, *nascent.Program) {
 	opts := job.Opts
 	opts.Filename = "" // ignored by Compile; keep it out of the key
-	bk := bcKey{fe: key, opts: opts, engine: eng}
+	bk := bcKey{fe: key, opts: opts, engine: job.Run.Engine}
 	p.mu.Lock()
 	e := p.bcMemo[bk]
 	if e == nil {
@@ -403,58 +468,11 @@ func (p *Pool) execute(job *Job, key feKey, prog *nascent.Program) (nascent.RunR
 	}
 	p.mu.Unlock()
 
-	hit := true
-	diskHit := false
+	hit, diskHit := true, false
+	var prog *nascent.Program
 	e.once.Do(func() {
 		hit = false
-		var vp *vm.Program
-		if p.disk != nil {
-			filename := job.Filename
-			if filename == "" {
-				filename = "input.mf"
-			}
-			dk := progcache.KeyOf(job.Source, filename, opts, eng)
-			if ent, err := p.disk.Get(dk); err == nil {
-				// Warm start: the program comes off disk bit-identical to
-				// a fresh compile (the codec round-trip is pinned by the
-				// progio suite), so the bytecode stage costs one decode.
-				// Tier handles still start cold — hotness is process
-				// state, not program state.
-				vp = ent.Prog
-				diskHit = true
-			} else {
-				defer func() {
-					if e.err == nil && vp != nil {
-						// Best-effort persist for the next process.
-						p.disk.Put(dk, &progcache.Entry{Prog: vp, StaticChecks: prog.StaticChecks(), Opt: prog.Opt})
-					}
-				}()
-			}
-		}
-		if vp == nil {
-			switch eng {
-			case nascent.EngineVMOpt:
-				vp, e.err = vm.CompileOptimized(prog.IR)
-			case nascent.EngineVMRCE, nascent.EngineVMJit:
-				// The guard/deopt rewrite plus the optimizer: vmrce runs
-				// it on the switch VM, vmjit closure-compiles the same
-				// stream (vmrce is the jit's input tier).
-				vp, e.err = vm.CompileRCE(prog.IR)
-			default:
-				vp, e.err = vm.Compile(prog.IR)
-			}
-			if e.err != nil {
-				return
-			}
-		}
-		switch eng {
-		case nascent.EngineVMJit:
-			e.jit = tier.NewJitHandle(vp)
-		case nascent.EngineTiered:
-			e.trd = tier.FromBytecode(vp, p.cfg.TierThresholds)
-		default:
-			e.prog = vp
-		}
+		prog, diskHit = p.fill(i, job, bk, e, res)
 	})
 	p.mu.Lock()
 	switch {
@@ -466,16 +484,99 @@ func (p *Pool) execute(job *Job, key feKey, prog *nascent.Program) (nascent.RunR
 		p.metrics.BytecodeCompiles++
 	}
 	p.mu.Unlock()
-	if e.err != nil {
-		return nascent.RunResult{}, e.err
+	if hit || diskHit {
+		// No front end, lowering or optimizer ran for this job.
+		res.CacheHit = true
+		p.emit(Event{Job: i, Name: job.Name, Stage: StageCompile, CacheHit: true, Err: e.err})
 	}
+	res.StaticChecks, res.Opt = e.staticChecks, e.opt
+	return e, prog
+}
+
+// fill populates a bytecode memo entry: from the disk cache when it
+// holds the program, otherwise by compiling the job and running the
+// engine's bytecode pipeline, persisting the result for the next
+// process. It returns the lowered program (nil on a disk fill) and
+// whether the disk served the fill.
+func (p *Pool) fill(i int, job *Job, bk bcKey, e *bcEntry, res *Result) (*nascent.Program, bool) {
+	eng := bk.engine
+	var dk progcache.Key
+	if p.disk != nil {
+		filename := job.Filename
+		if filename == "" {
+			filename = "input.mf"
+		}
+		dk = progcache.KeyOf(job.Source, filename, bk.opts, eng)
+		if ent, err := p.disk.Get(dk); err == nil {
+			// Warm start: the program comes off disk bit-identical to a
+			// fresh compile (the codec round-trip is pinned by the
+			// progio suite), so the whole compile costs one decode. Tier
+			// handles still start cold — hotness is process state, not
+			// program state.
+			e.staticChecks, e.opt = ent.StaticChecks, ent.Opt
+			p.install(e, eng, ent.Prog)
+			return nil, true
+		}
+	}
+
+	prog, err := p.compile(i, job, bk.fe, res)
+	if err != nil {
+		e.err = err
+		return nil, false
+	}
+	e.staticChecks, e.opt = res.StaticChecks, res.Opt
+	// The bytecode pipeline is charged to the filling job's Run, as the
+	// stage that executes the program.
+	t0 := time.Now()
+	defer func() { res.Run += time.Since(t0) }()
+	var vp *vm.Program
+	switch eng {
+	case nascent.EngineVMOpt:
+		vp, err = vm.CompileOptimized(prog.IR)
+	case nascent.EngineVMRCE, nascent.EngineVMJit:
+		// The guard/deopt rewrite plus the optimizer: vmrce runs it on
+		// the switch VM, vmjit closure-compiles the same stream (vmrce
+		// is the jit's input tier).
+		vp, err = vm.CompileRCE(prog.IR)
+	default:
+		vp, err = vm.Compile(prog.IR)
+	}
+	if err != nil {
+		e.bcErr = err
+		return prog, false
+	}
+	if p.disk != nil {
+		// Best-effort persist for the next process.
+		p.disk.Put(dk, &progcache.Entry{Prog: vp, StaticChecks: e.staticChecks, Opt: e.opt})
+	}
+	p.install(e, eng, vp)
+	return prog, false
+}
+
+// install stores a filled entry's program, wrapped in the tier handle
+// its engine executes through.
+func (p *Pool) install(e *bcEntry, eng nascent.Engine, vp *vm.Program) {
+	switch eng {
+	case nascent.EngineVMJit:
+		e.jit = tier.NewJitHandle(vp)
+	case nascent.EngineTiered:
+		e.trd = tier.FromBytecode(vp, p.cfg.TierThresholds)
+	default:
+		e.prog = vp
+	}
+}
+
+// run executes the entry's shared program under cfg.
+func (e *bcEntry) run(cfg nascent.RunConfig) (nascent.RunResult, error) {
 	switch {
+	case e.bcErr != nil:
+		return nascent.RunResult{}, e.bcErr
 	case e.jit != nil:
-		return e.jit.Run(job.Run)
+		return e.jit.Run(cfg)
 	case e.trd != nil:
-		return e.trd.Run(job.Run)
+		return e.trd.Run(cfg)
 	}
-	return e.prog.Run(job.Run)
+	return e.prog.Run(cfg)
 }
 
 // SettleTiers blocks until no background tier promotion (a vmjit
@@ -503,63 +604,50 @@ func (p *Pool) SettleTiers() {
 	}
 }
 
+// runJob is one attempt at a job: get something runnable, then run it
+// unless SkipRun. A Precompiled job brings its own program. A memoized
+// job consults its bytecode memo entry before any compile work and
+// compiles only to fill it. Every other job compiles its own IR.
 func (p *Pool) runJob(i int, job *Job) Result {
-	var res Result
+	var (
+		res Result
+		run func(nascent.RunConfig) (nascent.RunResult, error)
+	)
+	fail := func(format string, err error) Result {
+		res.Err = fmt.Errorf(format, job.Name, err)
+		p.account(&res)
+		return res
+	}
 
-	if job.Precompiled != nil {
-		// Precompiled job: execute directly, skipping the compile
-		// pipeline. Supervision (worker chaos sites, retry, timeout)
-		// wraps this path exactly like a compiled one.
-		if !job.SkipRun {
-			t0 := time.Now()
-			rr, err := job.Precompiled.Run(job.Run)
-			res.Run = time.Since(t0)
-			p.emit(Event{Job: i, Name: job.Name, Stage: StageRun, Duration: res.Run, Err: err})
-			if err != nil {
-				res.Err = fmt.Errorf("%s: run: %w", job.Name, err)
-				p.account(&res)
-				return res
-			}
-			res.Res = rr
-		}
+	switch {
+	case job.Precompiled != nil:
 		res.CacheHit = true // the compile came from the caller's cache
-		p.account(&res)
-		return res
-	}
-
-	key := feKey{hash: sha256.Sum256([]byte(job.Source)), filename: job.Filename}
-	fe, feDur, hit, err := p.frontend(job, key)
-	res.Frontend, res.CacheHit = feDur, hit
-	p.emit(Event{Job: i, Name: job.Name, Stage: StageFrontend, Duration: feDur, CacheHit: hit, Err: err})
-	if err != nil {
-		res.Err = fmt.Errorf("%s: %w", job.Name, err)
-		p.account(&res)
-		return res
-	}
-
-	var st nascent.StageTimes
-	prog, err := fe.CompileTimed(job.Opts, &st)
-	res.Lower, res.Optimize = st.Lower, st.Optimize
-	p.emit(Event{Job: i, Name: job.Name, Stage: StageCompile, Duration: st.Lower + st.Optimize, Err: err})
-	if err != nil {
-		res.Err = fmt.Errorf("%s: %w", job.Name, err)
-		p.account(&res)
-		return res
-	}
-	res.Prog = prog
-
-	if !job.SkipRun {
-		if job.Mutate != nil {
+		run = job.Precompiled.Run
+	case memoized(job):
+		e, prog := p.bytecode(i, job, frontendKey(job), &res)
+		if e.err != nil {
+			return fail("%s: %w", e.err)
+		}
+		res.Prog, run = prog, e.run
+	default:
+		prog, err := p.compile(i, job, frontendKey(job), &res)
+		if err != nil {
+			return fail("%s: %w", err)
+		}
+		if job.Mutate != nil && !job.SkipRun {
 			job.Mutate(prog)
 		}
+		res.Prog, run = prog, prog.RunWith
+	}
+
+	if !job.SkipRun {
 		t0 := time.Now()
-		rr, err := p.execute(job, key, prog)
-		res.Run = time.Since(t0)
-		p.emit(Event{Job: i, Name: job.Name, Stage: StageRun, Duration: res.Run, Err: err})
+		rr, err := run(job.Run)
+		dur := time.Since(t0)
+		res.Run += dur
+		p.emit(Event{Job: i, Name: job.Name, Stage: StageRun, Duration: dur, Err: err})
 		if err != nil {
-			res.Err = fmt.Errorf("%s: run: %w", job.Name, err)
-			p.account(&res)
-			return res
+			return fail("%s: run: %w", err)
 		}
 		res.Res = rr
 	}

@@ -31,7 +31,11 @@ type Config struct {
 	Jobs int
 	// Timings adds the wall-clock columns (Range/Nascent) to Tables
 	// 2–3. They are excluded by default so table output is
-	// reproducible byte for byte.
+	// reproducible byte for byte. Each job is charged the compile work
+	// it did: on a bytecode engine, a job served by the pool's bytecode
+	// memo compiles nothing and shows zero. A Runner from New owns a
+	// fresh pool, so its first table times every job; rangebench -times
+	// uses one fresh Runner per table.
 	Timings bool
 	// Engine selects the execution substrate for every measurement job
 	// (default the tree-walking reference engine). Table output is
@@ -116,36 +120,44 @@ type Table1Row struct {
 	DynRatio    float64
 }
 
-// table1Jobs is the two-job measurement of one program: the unchecked
-// build (instruction counts) and the naive checked build (check counts).
+// table1Jobs is the three-job measurement of one program: the
+// unchecked build lowered for its static shape (a SkipRun job, so its
+// result always carries the IR, even when the run jobs are served from
+// the bytecode memo), the unchecked build run for instruction counts,
+// and the naive checked build run for check counts.
 func table1Jobs(p suite.Program) []evalpool.Job {
+	plain := evalpool.Job{Name: p.Name + "/plain", Source: p.Source, Filename: p.Name + ".mf"}
+	shape := plain
+	shape.Name, shape.SkipRun = p.Name+"/shape", true
 	return []evalpool.Job{
-		{Name: p.Name + "/plain", Source: p.Source, Filename: p.Name + ".mf"},
+		shape,
+		plain,
 		{Name: p.Name + "/checked", Source: p.Source, Filename: p.Name + ".mf",
 			Opts: nascent.Options{BoundsChecks: true}},
 	}
 }
 
-// buildRow1 folds the two Table 1 measurements of one program into a row.
-func buildRow1(p suite.Program, plain, checked evalpool.Result) (Table1Row, error) {
+// buildRow1 folds the three Table 1 measurements of one program into a
+// row.
+func buildRow1(p suite.Program, shape, plain, checked evalpool.Result) (Table1Row, error) {
 	row := Table1Row{Program: p.Name, Suite: p.Suite, Lines: countLines(p.Source)}
-	if plain.Err != nil {
-		return row, plain.Err
+	for _, r := range []evalpool.Result{shape, plain, checked} {
+		if r.Err != nil {
+			return row, r.Err
+		}
 	}
-	if checked.Err != nil {
-		return row, checked.Err
-	}
-	row.Subroutines = len(plain.Prog.IR.Funcs) - 1
-	row.StaticInstr = interp.StaticCost(plain.Prog.IR)
+	ir := shape.Prog.IR
+	row.Subroutines = len(ir.Funcs) - 1
+	row.StaticInstr = interp.StaticCost(ir)
 	row.DynInstr = plain.Res.Instructions
-	row.StaticChk = checked.Prog.StaticChecks()
+	row.StaticChk = checked.StaticChecks
 	if checked.Res.Trapped {
 		return row, fmt.Errorf("%s: naive run trapped: %s", p.Name, checked.Res.TrapNote)
 	}
 	row.DynChk = checked.Res.Checks
 	// Loop analysis inserts preheader blocks, so it runs last, once
 	// every measured quantity has been taken from the IR.
-	for _, f := range plain.Prog.IR.Funcs {
+	for _, f := range ir.Funcs {
 		forest := loops.Analyze(f, dom.Compute(f))
 		row.Loops += len(forest.Loops)
 	}
@@ -158,7 +170,7 @@ func buildRow1(p suite.Program, plain, checked evalpool.Result) (Table1Row, erro
 func Measure1(p suite.Program) (Table1Row, error) {
 	r := New(Config{})
 	results := r.pool.Evaluate(table1Jobs(p))
-	return buildRow1(p, results[0], results[1])
+	return buildRow1(p, results[0], results[1], results[2])
 }
 
 func countLines(src string) int {

@@ -30,7 +30,7 @@ func (r *Runner) measure1() ([]Table1Row, []error) {
 	rows := make([]Table1Row, len(suite.Programs))
 	errs := make([]error, len(suite.Programs))
 	for i, p := range suite.Programs {
-		rows[i], errs[i] = buildRow1(p, results[2*i], results[2*i+1])
+		rows[i], errs[i] = buildRow1(p, results[3*i], results[3*i+1], results[3*i+2])
 	}
 	return rows, errs
 }

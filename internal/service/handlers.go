@@ -286,13 +286,10 @@ func (s *Server) execute(r *http.Request, res *resolved, noCache bool, jobName s
 	}
 
 	if c == nil {
-		// no-cache path: the pool compiled it; synthesize the compile
-		// section from the job's own program.
-		c = &compiled{prog: result.Prog, engine: res.engine}
-		if result.Prog != nil {
-			c.staticChecks = result.Prog.StaticChecks()
-			c.opt = result.Prog.Opt
-		}
+		// no-cache path: the pool compiled it (or served it from its
+		// bytecode memo); the compile section comes from the job's
+		// compile facts, which a memo hit reports too.
+		c = &compiled{engine: res.engine, staticChecks: result.StaticChecks, opt: result.Opt}
 	}
 	resp := &RunResponse{
 		Compile:      s.compileResponse(c, key, hit, res),
