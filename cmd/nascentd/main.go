@@ -132,8 +132,8 @@ func run(argv []string) int {
 		AuditEvery:       *auditEvery,
 		ScrubInterval:    *scrubInterval,
 	}
-	cfg.TierThresholds.OptRuns = *tierOptRuns
-	cfg.TierThresholds.JitRuns = *tierJitRuns
+	cfg.Pool.TierThresholds.OptRuns = *tierOptRuns
+	cfg.Pool.TierThresholds.JitRuns = *tierJitRuns
 	if *fleetN > 0 {
 		cfg.FleetWorkers = *fleetN
 		cfg.FleetHedgeAfter = *fleetHedge

@@ -219,7 +219,7 @@ func run(table, jobs, fleetN int, chaosSpec string, engine nascent.Engine, times
 		r = report.New(cfg)
 	}
 
-	// A bytecode memo hit compiles nothing, so a timed table that reused
+	// A program cache hit compiles nothing, so a timed table that reused
 	// an earlier table's programs would show their compile time as zero:
 	// in-process, each timed table measures on a fresh pool.
 	freshPerTable := times && fleetN == 0

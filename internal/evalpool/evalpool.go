@@ -11,18 +11,21 @@
 //     iterates the result slice produces byte-identical output at any
 //     worker count (the golden-table tests in internal/report pin this).
 //
-//   - Shared compile work: a bytecode job (every engine but the tree
-//     walker) looks up its bytecode memo entry, keyed by source hash,
-//     filename, options and engine, before any compile work. Only the
-//     job that fills the entry runs the front end, lowering, the scheme
-//     optimizer and the bytecode pipeline — or decodes the program from
-//     the disk cache — and every later job for the same key just runs
-//     the shared program. Jobs that need the IR itself (tree-engine,
-//     Mutate and SkipRun jobs) lower fresh IR every time. Front ends are
-//     memoized by (source hash, filename) for both kinds, so the ~20
-//     optimizer variants of one program share a single
-//     parse/semantic-analysis; nascent.Frontend is immutable and safe
-//     for concurrent Compile calls.
+//   - Shared compile work: a job looks up its program in the pool's
+//     program cache, a bounded LRU keyed by the program's content
+//     address (progcache.KeyOf over source, filename, options and
+//     engine), before any compile work. Only the job that fills an entry
+//     runs the front end, lowering, the scheme optimizer and the
+//     engine's bytecode pipeline — or decodes the program from the disk
+//     cache — and every later job for the same key just runs the shared
+//     program. An entry holds only what a run needs: the vm.Program or
+//     tier handle and the compile facts; only tree-engine entries keep
+//     IR. Jobs that need IR of their own (Mutate and SkipRun jobs) and
+//     jobs that must retain nothing (Fresh) compile for themselves and
+//     never touch the cache. Front ends are memoized for the duration of
+//     one Evaluate call, so the ~20 optimizer variants of one program in
+//     a batch share a single parse/semantic analysis, and nothing of the
+//     front end outlives the batch.
 //
 //   - Observable cost: the pool aggregates per-stage wall-clock and
 //     interpreter counters into Metrics, and an optional Trace hook
@@ -53,7 +56,7 @@ type Job struct {
 	// Source is the MF program text.
 	Source string
 	// Filename is the diagnostic filename (defaults to "input.mf"); it
-	// is part of the memoization key because positions embed it.
+	// is part of the cache key because positions embed it.
 	Filename string
 	// Opts selects the backend configuration (BoundsChecks, Scheme,
 	// Kind, Implications, RotateLoops). Opts.Filename is ignored; use
@@ -62,9 +65,15 @@ type Job struct {
 	// Run bounds execution (zero value = interpreter defaults).
 	Run nascent.RunConfig
 	// SkipRun compiles without executing (Result.Res stays zero). A
-	// SkipRun job never consults the bytecode memo, so its Result
+	// SkipRun job never consults the program cache, so its Result
 	// always carries the lowered Prog: callers that need the IR use it.
 	SkipRun bool
+	// Fresh compiles the job for itself and retains nothing: the
+	// program cache is neither consulted nor filled, and outside an
+	// Evaluate batch no front end is memoized. nascentd's no_cache
+	// requests and drills set it, so tenant traffic that asks for no
+	// caching cannot grow the pool.
+	Fresh bool
 	// Mutate, when non-nil, is applied to the compiled program before
 	// it runs. The oracle uses it to inject deliberate miscompilations;
 	// it runs on the worker goroutine and must only touch the program
@@ -75,14 +84,33 @@ type Job struct {
 	// (retry/backoff, quarantine, job timeout, worker chaos sites).
 	// Source/Opts should still describe the program for labeling and
 	// replay purposes, but are not recompiled. The handle must be safe
-	// for concurrent Run calls — the service layer shares one compiled
-	// program across every request that hits its cache entry.
+	// for concurrent Run calls.
 	Precompiled Runner
 }
 
+// Key is the job's content address: progcache.KeyOf over its source,
+// filename (defaulted to "input.mf"), options and engine. The program
+// cache, the disk cache and the fleet's per-program state all key by
+// it.
+func (j *Job) Key() progcache.Key {
+	filename := j.Filename
+	if filename == "" {
+		filename = "input.mf"
+	}
+	return progcache.KeyOf(j.Source, filename, j.Opts, j.Run.Engine)
+}
+
+// cached reports whether a job runs through the program cache: no
+// Mutate hook (it rewrites the IR the cache would share), a run to do
+// (SkipRun callers want the IR itself), and no request to retain
+// nothing.
+func (j *Job) cached() bool {
+	return j.Mutate == nil && !j.SkipRun && !j.Fresh
+}
+
 // Runner is a precompiled program handle a Precompiled job executes
-// directly. Both *vm.Program and the service layer's tree-engine
-// adapter satisfy it; implementations must be safe for concurrent use.
+// directly. *vm.Program satisfies it; implementations must be safe for
+// concurrent use.
 type Runner interface {
 	Run(cfg nascent.RunConfig) (nascent.RunResult, error)
 }
@@ -91,18 +119,23 @@ type Runner interface {
 // stage's error; when it is nil the compile facts and Res are
 // meaningful.
 type Result struct {
-	// Prog is the program this job lowered and optimized. Tree-engine,
-	// Mutate and SkipRun jobs always lower, so their Prog is set
-	// whenever compilation succeeded. A bytecode job lowers only to fill
-	// its bytecode memo entry: Prog is nil on a memo hit and on a fill
-	// decoded from the disk cache. It is owned by the caller after
+	// Prog is the program this job lowered, when the job owns it:
+	// Fresh, Mutate and SkipRun jobs always lower, so their Prog is set
+	// whenever compilation succeeded. A cached bytecode job lowers only
+	// to fill its cache entry, and the entry keeps no IR, so the filling
+	// job gets the lowering; Prog is nil on a hit, on a fill decoded
+	// from the disk cache, and for tree-engine jobs, whose entry keeps
+	// the IR to run it. A returned Prog is owned by the caller after
 	// Evaluate returns: post-processing that mutates its IR (e.g. loop
 	// analysis inserting preheaders) is safe.
 	Prog *nascent.Program
+	// Key is the job's content address (Job.Key); zero for Precompiled
+	// jobs.
+	Key progcache.Key
 	// StaticChecks and Opt are the compiled program's static check
 	// count and optimizer report (Opt is nil for an unoptimized build).
-	// They are set whenever compilation succeeded, memo hits included.
-	// Jobs served by one memo entry share one Opt: treat it as
+	// They are set whenever compilation succeeded, cache hits included.
+	// Jobs served by one cache entry share one Opt: treat it as
 	// read-only.
 	StaticChecks int
 	Opt          *nascent.OptReport
@@ -112,16 +145,21 @@ type Result struct {
 	// job name and stage.
 	Err error
 	// Stage timings for this job. Each cost is charged to the job that
-	// paid it: Frontend is zero when the front end came from its memo,
-	// and Frontend, Lower and Optimize are all zero on a bytecode memo
-	// hit or a disk-cache fill, where the job lowers nothing. Run
+	// paid it: Frontend is zero when the front end came from the batch's
+	// memo, and Frontend, Lower and Optimize are all zero on a program
+	// cache hit or a disk-cache fill, where the job lowers nothing. Run
 	// includes the bytecode pipeline (vm.Compile and the engine's
 	// rewrites) for the job that compiled it.
 	Frontend, Lower, Optimize, Run time.Duration
 	// CacheHit reports that the job ran no front end: it came from the
-	// front-end memo, or the job's bytecode came from the bytecode memo
-	// or the disk cache.
+	// batch's front-end memo, or the job's program came from the program
+	// cache or the disk cache.
 	CacheHit bool
+	// ProgramHit reports that the program cache already held the job's
+	// program, filled by an earlier job (or being filled by a concurrent
+	// one). Unlike CacheHit it is false for a fill decoded from the disk
+	// cache: nascentd reports it as a response's cache_hit.
+	ProgramHit bool
 	// Attempts is how many times the job ran before this result (1
 	// unless supervision retried it after a worker death or timeout).
 	Attempts int
@@ -144,9 +182,9 @@ type Event struct {
 	Stage string
 	// Duration is the stage's wall-clock time.
 	Duration time.Duration
-	// CacheHit is set on frontend events served from the front-end
-	// memo, and on the single zero-duration compile event of a job
-	// whose bytecode came from the bytecode memo or the disk cache.
+	// CacheHit is set on frontend events served from the batch's
+	// front-end memo, and on the single zero-duration compile event of a
+	// job whose program came from the program cache or the disk cache.
 	CacheHit bool
 	// Err is the stage's error, if it failed.
 	Err error
@@ -168,21 +206,21 @@ type Metrics struct {
 	Errors int
 	// FrontendCompiles counts jobs that ran the front end (parse and
 	// semantic analysis); FrontendHits counts jobs that did not, because
-	// the front-end memo, the bytecode memo or the disk cache served
-	// them.
+	// the batch's front-end memo, the program cache or the disk cache
+	// served them.
 	FrontendCompiles int
 	FrontendHits     int
-	// BytecodeCompiles / BytecodeHits split the bytecode memo's traffic
-	// (bytecode-engine jobs without Mutate or SkipRun; other jobs never
-	// touch it). BytecodeDiskHits counts memo fills satisfied by the
-	// disk cache — a decode instead of a compile.
+	// BytecodeCompiles / BytecodeHits split the program cache's traffic
+	// (every lookup: cached jobs of any engine, and Lookup calls; Fresh,
+	// Mutate and SkipRun jobs never touch it). BytecodeDiskHits counts
+	// fills satisfied by the disk cache — a decode instead of a compile.
 	BytecodeCompiles int
 	BytecodeHits     int
 	BytecodeDiskHits int
 	// Stage wall-clock totals, summed across workers (under full
 	// parallelism the sum exceeds elapsed time). CompileTime is lowering
-	// plus the scheme optimizer, so bytecode memo hits add nothing to
-	// it; RunTime includes each bytecode memo fill's bytecode pipeline.
+	// plus the scheme optimizer, so program cache hits add nothing to
+	// it; RunTime includes each cache fill's bytecode pipeline.
 	FrontendTime time.Duration
 	CompileTime  time.Duration
 	RunTime      time.Duration
@@ -201,21 +239,66 @@ type Metrics struct {
 	Quarantined  int
 }
 
-// Pool is a bounded-concurrency evaluation engine with a memoized
-// front-end table. The zero value is not usable; call New.
+// Pool is a bounded-concurrency evaluation engine with a bounded
+// program cache. The zero value is not usable; call New.
 //
-// A Pool may be reused across many Evaluate calls: the memo table and
-// metrics accumulate. Evaluate itself may be called concurrently.
+// A Pool may be reused across many Evaluate calls: the program cache
+// and metrics accumulate. Evaluate itself may be called concurrently.
 type Pool struct {
 	workers int
 	cfg     Config
 	trace   TraceFunc
 	disk    *progcache.Cache // nil = memory-only; see SetDiskCache
+	cache   *Cache[progcache.Key, *program]
 
 	mu      sync.Mutex
-	memo    map[feKey]*feEntry
-	bcMemo  map[bcKey]*bcEntry
 	metrics Metrics
+}
+
+// program is one program cache entry: exactly what a run needs, plus
+// the compile facts a job reports (the same ones a progcache.Entry
+// carries), so a hit needs no IR. Exactly one of ir/vm/jit/trd is set
+// by engine, unless bcErr is. Evicting the entry drops its tier handle
+// with it: promotion state never outlives the artifact it describes.
+type program struct {
+	ir           *nascent.Program // tree: the shared immutable IR
+	vm           *vm.Program      // vm / vmopt / vmrce: shared immutable program
+	jit          *tier.JitHandle  // vmjit: profile-on-first-run closure handle
+	trd          *tier.Program    // tiered: hotness-driven tiering controller
+	engine       nascent.Engine
+	staticChecks int
+	opt          *nascent.OptReport
+	// bcErr is a bytecode-pipeline failure, which jobs report as a run
+	// error. Front-end, lowering and optimizer failures are the cache
+	// entry's error instead.
+	bcErr error
+}
+
+// Run executes the entry's shared program under cfg.
+func (pr *program) Run(cfg nascent.RunConfig) (nascent.RunResult, error) {
+	switch {
+	case pr.bcErr != nil:
+		return nascent.RunResult{}, pr.bcErr
+	case pr.jit != nil:
+		return pr.jit.Run(cfg)
+	case pr.trd != nil:
+		return pr.trd.Run(cfg)
+	case pr.vm != nil:
+		return pr.vm.Run(cfg)
+	}
+	return pr.ir.RunWith(cfg)
+}
+
+// tierSnapshot returns the entry's tier state (false for entries
+// without a tier handle).
+func (pr *program) tierSnapshot() (tier.Snapshot, bool) {
+	switch {
+	case pr.jit != nil:
+		return pr.jit.Snapshot(), true
+	case pr.trd != nil:
+		return pr.trd.Snapshot(), true
+	}
+	return tier.Snapshot{}, false
 }
 
 type feKey struct {
@@ -223,47 +306,53 @@ type feKey struct {
 	filename string
 }
 
-// bcKey identifies one compiled bytecode program: the front-end key,
-// the full backend option set, and the engine tier (plain vm and the
-// optimized vmopt rewrite are distinct programs). The whole compile
-// pipeline is deterministic, so two jobs with equal keys lower to
-// equivalent IR and can share one immutable vm.Program. For the vmjit
-// and tiered engines the entry additionally carries the mutable tier
-// state — hotness counters, the accumulating profile, the
-// closure-compiled program once promotion lands — keyed alongside the
-// same content hash, so every job for the same (source, options,
-// engine) warms the same handle.
-type bcKey struct {
-	fe     feKey
-	opts   nascent.Options
-	engine nascent.Engine
-}
-
-// bcEntry is a once-guarded bytecode memo slot, like feEntry. Exactly
-// one of prog/jit/trd is set after a successful fill, by engine. The
-// entry also keeps the small compile facts a job reports, the same ones
-// a progcache.Entry carries, so a hit needs no IR.
-type bcEntry struct {
-	once         sync.Once
-	prog         *vm.Program     // vm / vmopt / vmrce: shared immutable program
-	jit          *tier.JitHandle // vmjit: profile-on-first-run closure handle
-	trd          *tier.Program   // tiered: hotness-driven tiering controller
-	staticChecks int
-	opt          *nascent.OptReport
-	// err is a front-end, lowering or optimizer failure; bcErr a
-	// bytecode-pipeline failure, which jobs report as a run error.
-	err   error
-	bcErr error
+// frontends is one Evaluate batch's front-end memo. A nil *frontends
+// (SubmitCtx, Lookup) analyzes every job afresh.
+type frontends struct {
+	mu sync.Mutex
+	m  map[feKey]*feEntry
 }
 
 // feEntry is a once-guarded memo slot: the first job to need a front
 // end compiles it, concurrent jobs for the same source block on the
-// same entry instead of duplicating work.
+// same entry instead of duplicating work. nascent.Frontend is immutable
+// and safe for concurrent Compile calls.
 type feEntry struct {
 	once sync.Once
 	fe   *nascent.Frontend
 	err  error
 	dur  time.Duration
+}
+
+// get returns the front end for a job, compiling it on first use. The
+// duration returned is the compile cost when this call populated the
+// entry, zero on a hit.
+func (fs *frontends) get(job *Job) (*nascent.Frontend, time.Duration, bool, error) {
+	if fs == nil {
+		t0 := time.Now()
+		fe, err := nascent.Analyze(job.Source, job.Filename)
+		return fe, time.Since(t0), false, err
+	}
+	key := feKey{hash: sha256.Sum256([]byte(job.Source)), filename: job.Filename}
+	fs.mu.Lock()
+	e := fs.m[key]
+	if e == nil {
+		e = &feEntry{}
+		fs.m[key] = e
+	}
+	fs.mu.Unlock()
+
+	hit := true
+	e.once.Do(func() {
+		hit = false
+		t0 := time.Now()
+		e.fe, e.err = nascent.Analyze(job.Source, job.Filename)
+		e.dur = time.Since(t0)
+	})
+	if hit {
+		return e.fe, 0, true, e.err
+	}
+	return e.fe, e.dur, false, e.err
 }
 
 // New returns a pool running at most workers jobs concurrently.
@@ -283,18 +372,17 @@ func NewSupervised(cfg Config) *Pool {
 	return &Pool{
 		workers: workers,
 		cfg:     cfg,
-		memo:    make(map[feKey]*feEntry),
-		bcMemo:  make(map[bcKey]*bcEntry),
+		cache:   NewCache[progcache.Key, *program](cfg.CacheEntries),
 	}
 }
 
 // Workers returns the pool's concurrency bound.
 func (p *Pool) Workers() int { return p.workers }
 
-// SetDiskCache layers a disk-backed program cache under the bytecode
-// memo: memo fills consult it before compiling (a warm process decodes
-// instead of compiling) and write fresh compiles back for the next
-// process. Install it before Evaluate. The disk is strictly an
+// SetDiskCache layers a disk-backed program cache under the program
+// cache: bytecode fills consult it before compiling (a warm process
+// decodes instead of compiling) and write fresh compiles back for the
+// next process. Install it before Evaluate. The disk is strictly an
 // accelerator — any read failure falls through to a compile, and the
 // decoded program is bit-identical to a compiled one by the codec's
 // conformance suite.
@@ -314,6 +402,9 @@ func (p *Pool) Metrics() Metrics {
 	defer p.mu.Unlock()
 	return p.metrics
 }
+
+// CacheStats snapshots the program cache's counters.
+func (p *Pool) CacheStats() CacheStats { return p.cache.Stats() }
 
 // Evaluate runs every job and returns results in job order: result i
 // belongs to jobs[i] regardless of which worker finished first. Job
@@ -336,13 +427,14 @@ func (p *Pool) Evaluate(jobs []Job) []Result {
 // fails abnormally every time is quarantined behind *PoisonedInputError.
 func (p *Pool) EvaluateCtx(ctx context.Context, jobs []Job) []Result {
 	results := make([]Result, len(jobs))
+	fe := &frontends{m: make(map[feKey]*feEntry)}
 	n := p.workers
 	if n > len(jobs) {
 		n = len(jobs)
 	}
 	if n <= 1 {
 		for i := range jobs {
-			results[i] = p.superviseJob(ctx, i, &jobs[i])
+			results[i] = p.superviseJob(ctx, i, &jobs[i], fe)
 		}
 		return results
 	}
@@ -354,7 +446,7 @@ func (p *Pool) EvaluateCtx(ctx context.Context, jobs []Job) []Result {
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				results[i] = p.superviseJob(ctx, i, &jobs[i])
+				results[i] = p.superviseJob(ctx, i, &jobs[i], fe)
 			}
 		}()
 	}
@@ -371,65 +463,38 @@ func (p *Pool) EvaluateCtx(ctx context.Context, jobs []Job) []Result {
 // goroutine's attempt supervisor. Unlike EvaluateCtx it does not pass
 // through the pool's worker queue: the caller is expected to bound its
 // own concurrency (the service layer's admission limiter does), while
-// the pool contributes supervision, the memo tables, and metrics.
+// the pool contributes supervision, the program cache, and metrics. A
+// submitted job shares no front end with any other job.
 // Cancelling ctx stops an in-flight engine run at its next poll point
 // and surfaces a typed cancellation error.
 func (p *Pool) SubmitCtx(ctx context.Context, job Job) Result {
-	return p.superviseJob(ctx, 0, &job)
+	return p.superviseJob(ctx, 0, &job, nil)
 }
 
-// frontend returns the memoized front end for a job, compiling it on
-// first use. The duration returned is the compile cost when this call
-// populated the entry, zero on a hit.
-func (p *Pool) frontend(job *Job, key feKey) (*nascent.Frontend, time.Duration, bool, error) {
-	p.mu.Lock()
-	e := p.memo[key]
-	if e == nil {
-		e = &feEntry{}
-		p.memo[key] = e
+// Lookup resolves a job's program through the program cache — a hit, a
+// disk decode or a compile — without running it, and reports the
+// compile facts. nascentd's /compile uses it, so /compile and a cached
+// /run share one entry. It moves the cache counters but not Jobs; the
+// job's Fresh, Mutate and SkipRun fields are ignored. A bytecode
+// pipeline failure, which a run would report, is Err here.
+func (p *Pool) Lookup(job Job) Result {
+	res := Result{Key: job.Key()}
+	pr, _, err := p.program(0, &job, nil, &res)
+	if err == nil {
+		err = pr.bcErr
 	}
-	p.mu.Unlock()
-
-	hit := true
-	e.once.Do(func() {
-		hit = false
-		t0 := time.Now()
-		e.fe, e.err = nascent.Analyze(job.Source, job.Filename)
-		e.dur = time.Since(t0)
-	})
-	if hit {
-		return e.fe, 0, true, e.err
+	if err != nil {
+		res.Err = fmt.Errorf("%s: %w", job.Name, err)
 	}
-	return e.fe, e.dur, false, e.err
+	return res
 }
 
-// bytecodeEngine reports whether eng runs through the bytecode memo.
-func bytecodeEngine(eng nascent.Engine) bool {
-	switch eng {
-	case nascent.EngineVM, nascent.EngineVMOpt, nascent.EngineVMRCE,
-		nascent.EngineVMJit, nascent.EngineTiered:
-		return true
-	}
-	return false
-}
-
-// frontendKey is a job's front-end memo key.
-func frontendKey(job *Job) feKey {
-	return feKey{hash: sha256.Sum256([]byte(job.Source)), filename: job.Filename}
-}
-
-// memoized reports whether a job runs through the bytecode memo: a
-// bytecode engine, no Mutate hook (it rewrites the IR the memo would
-// share), and a run to do (SkipRun callers want the IR itself).
-func memoized(job *Job) bool {
-	return bytecodeEngine(job.Run.Engine) && job.Mutate == nil && !job.SkipRun
-}
-
-// compile runs the front end (through its memo), lowering and the
-// scheme optimizer for one job, recording the stage timings and compile
-// facts in res and emitting the frontend and compile trace events.
-func (p *Pool) compile(i int, job *Job, key feKey, res *Result) (*nascent.Program, error) {
-	fe, feDur, hit, err := p.frontend(job, key)
+// compile runs the front end (through the batch's memo), lowering and
+// the scheme optimizer for one job, recording the stage timings and
+// compile facts in res and emitting the frontend and compile trace
+// events.
+func (p *Pool) compile(i int, job *Job, fs *frontends, res *Result) (*nascent.Program, error) {
+	fe, feDur, hit, err := fs.get(job)
 	res.Frontend, res.CacheHit = feDur, hit
 	p.emit(Event{Job: i, Name: job.Name, Stage: StageFrontend, Duration: feDur, CacheHit: hit, Err: err})
 	if err != nil {
@@ -446,33 +511,24 @@ func (p *Pool) compile(i int, job *Job, key feKey, res *Result) (*nascent.Progra
 	return prog, nil
 }
 
-// bytecode returns the bytecode memo entry of a memoized job, filling
+// program returns the program cache entry of a job (res.Key), filling
 // it on first use. Every job for the same (source, filename, options,
 // engine) shares one entry: the compile pipeline is deterministic, so
-// one immutable vm.Program serves them all — EngineVMOpt entries hold
-// the superinstruction-optimized rewrite, EngineVMRCE entries the
-// guard/deopt range-check-elimination pipeline, while EngineVMJit and
+// one immutable program serves them all, while EngineVMJit and
 // EngineTiered entries hold a mutable tier handle whose hotness state
 // persists across jobs (the second job for the same source runs warmer
-// than the first). Only the filling job does compile work, so only it
-// returns a lowered program; it is nil on a hit and on a disk fill.
-func (p *Pool) bytecode(i int, job *Job, key feKey, res *Result) (*bcEntry, *nascent.Program) {
-	opts := job.Opts
-	opts.Filename = "" // ignored by Compile; keep it out of the key
-	bk := bcKey{fe: key, opts: opts, engine: job.Run.Engine}
-	p.mu.Lock()
-	e := p.bcMemo[bk]
-	if e == nil {
-		e = &bcEntry{}
-		p.bcMemo[bk] = e
-	}
-	p.mu.Unlock()
-
-	hit, diskHit := true, false
-	var prog *nascent.Program
-	e.once.Do(func() {
-		hit = false
-		prog, diskHit = p.fill(i, job, bk, e, res)
+// than the first). Only the filling job does compile work, so only a
+// bytecode fill that compiled returns a lowered program.
+func (p *Pool) program(i int, job *Job, fs *frontends, res *Result) (*program, *nascent.Program, error) {
+	var (
+		lowered *nascent.Program
+		diskHit bool
+	)
+	pr, hit, err := p.cache.Get(res.Key, func() (*program, error) {
+		var pr *program
+		var err error
+		pr, lowered, diskHit, err = p.fill(i, job, fs, res)
+		return pr, err
 	})
 	p.mu.Lock()
 	switch {
@@ -487,44 +543,42 @@ func (p *Pool) bytecode(i int, job *Job, key feKey, res *Result) (*bcEntry, *nas
 	if hit || diskHit {
 		// No front end, lowering or optimizer ran for this job.
 		res.CacheHit = true
-		p.emit(Event{Job: i, Name: job.Name, Stage: StageCompile, CacheHit: true, Err: e.err})
+		p.emit(Event{Job: i, Name: job.Name, Stage: StageCompile, CacheHit: true, Err: err})
 	}
-	res.StaticChecks, res.Opt = e.staticChecks, e.opt
-	return e, prog
+	res.ProgramHit = hit
+	if err != nil {
+		return nil, nil, err
+	}
+	res.StaticChecks, res.Opt = pr.staticChecks, pr.opt
+	return pr, lowered, nil
 }
 
-// fill populates a bytecode memo entry: from the disk cache when it
-// holds the program, otherwise by compiling the job and running the
-// engine's bytecode pipeline, persisting the result for the next
-// process. It returns the lowered program (nil on a disk fill) and
-// whether the disk served the fill.
-func (p *Pool) fill(i int, job *Job, bk bcKey, e *bcEntry, res *Result) (*nascent.Program, bool) {
-	eng := bk.engine
-	var dk progcache.Key
-	if p.disk != nil {
-		filename := job.Filename
-		if filename == "" {
-			filename = "input.mf"
-		}
-		dk = progcache.KeyOf(job.Source, filename, bk.opts, eng)
-		if ent, err := p.disk.Get(dk); err == nil {
+// fill builds a program cache entry: from the disk cache when it holds
+// the program, otherwise by compiling the job and running the engine's
+// bytecode pipeline, persisting the result for the next process. It
+// returns the lowered program when the entry does not keep it, and
+// whether the disk served the fill. This is the request path's one
+// engine→pipeline switch.
+func (p *Pool) fill(i int, job *Job, fs *frontends, res *Result) (*program, *nascent.Program, bool, error) {
+	eng := job.Run.Engine
+	if p.disk != nil && eng != nascent.EngineTree {
+		if ent, err := p.disk.Get(res.Key); err == nil {
 			// Warm start: the program comes off disk bit-identical to a
 			// fresh compile (the codec round-trip is pinned by the
 			// progio suite), so the whole compile costs one decode. Tier
 			// handles still start cold — hotness is process state, not
 			// program state.
-			e.staticChecks, e.opt = ent.StaticChecks, ent.Opt
-			p.install(e, eng, ent.Prog)
-			return nil, true
+			return p.install(eng, ent.Prog, ent.StaticChecks, ent.Opt), nil, true, nil
 		}
 	}
 
-	prog, err := p.compile(i, job, bk.fe, res)
+	prog, err := p.compile(i, job, fs, res)
 	if err != nil {
-		e.err = err
-		return nil, false
+		return nil, nil, false, err
 	}
-	e.staticChecks, e.opt = res.StaticChecks, res.Opt
+	if eng == nascent.EngineTree {
+		return &program{ir: prog, engine: eng, staticChecks: res.StaticChecks, opt: res.Opt}, nil, false, nil
+	}
 	// The bytecode pipeline is charged to the filling job's Run, as the
 	// stage that executes the program.
 	t0 := time.Now()
@@ -542,41 +596,28 @@ func (p *Pool) fill(i int, job *Job, bk bcKey, e *bcEntry, res *Result) (*nascen
 		vp, err = vm.Compile(prog.IR)
 	}
 	if err != nil {
-		e.bcErr = err
-		return prog, false
+		return &program{engine: eng, staticChecks: res.StaticChecks, opt: res.Opt, bcErr: err}, prog, false, nil
 	}
 	if p.disk != nil {
 		// Best-effort persist for the next process.
-		p.disk.Put(dk, &progcache.Entry{Prog: vp, StaticChecks: e.staticChecks, Opt: e.opt})
+		p.disk.Put(res.Key, &progcache.Entry{Prog: vp, StaticChecks: res.StaticChecks, Opt: res.Opt})
 	}
-	p.install(e, eng, vp)
-	return prog, false
+	return p.install(eng, vp, res.StaticChecks, res.Opt), prog, false, nil
 }
 
-// install stores a filled entry's program, wrapped in the tier handle
-// its engine executes through.
-func (p *Pool) install(e *bcEntry, eng nascent.Engine, vp *vm.Program) {
+// install wraps a bytecode program in the tier handle its engine
+// executes through.
+func (p *Pool) install(eng nascent.Engine, vp *vm.Program, staticChecks int, opt *nascent.OptReport) *program {
+	pr := &program{engine: eng, staticChecks: staticChecks, opt: opt}
 	switch eng {
 	case nascent.EngineVMJit:
-		e.jit = tier.NewJitHandle(vp)
+		pr.jit = tier.NewJitHandle(vp)
 	case nascent.EngineTiered:
-		e.trd = tier.FromBytecode(vp, p.cfg.TierThresholds)
+		pr.trd = tier.FromBytecode(vp, p.cfg.TierThresholds)
 	default:
-		e.prog = vp
+		pr.vm = vp
 	}
-}
-
-// run executes the entry's shared program under cfg.
-func (e *bcEntry) run(cfg nascent.RunConfig) (nascent.RunResult, error) {
-	switch {
-	case e.bcErr != nil:
-		return nascent.RunResult{}, e.bcErr
-	case e.jit != nil:
-		return e.jit.Run(cfg)
-	case e.trd != nil:
-		return e.trd.Run(cfg)
-	}
-	return e.prog.Run(cfg)
+	return pr
 }
 
 // SettleTiers blocks until no background tier promotion (a vmjit
@@ -584,31 +625,21 @@ func (e *bcEntry) run(cfg nascent.RunConfig) (nascent.RunResult, error) {
 // Promotion is asynchronous by design; tests and deterministic
 // snapshots drain it here.
 func (p *Pool) SettleTiers() {
-	p.mu.Lock()
-	var hs []*tier.JitHandle
-	var ts []*tier.Program
-	for _, e := range p.bcMemo {
-		if e.jit != nil {
-			hs = append(hs, e.jit)
+	p.cache.Range(func(_ progcache.Key, pr *program) {
+		switch {
+		case pr.jit != nil:
+			pr.jit.Settle()
+		case pr.trd != nil:
+			pr.trd.Settle()
 		}
-		if e.trd != nil {
-			ts = append(ts, e.trd)
-		}
-	}
-	p.mu.Unlock()
-	for _, h := range hs {
-		h.Settle()
-	}
-	for _, t := range ts {
-		t.Settle()
-	}
+	})
 }
 
 // runJob is one attempt at a job: get something runnable, then run it
-// unless SkipRun. A Precompiled job brings its own program. A memoized
-// job consults its bytecode memo entry before any compile work and
-// compiles only to fill it. Every other job compiles its own IR.
-func (p *Pool) runJob(i int, job *Job) Result {
+// unless SkipRun. A Precompiled job brings its own program. A cached
+// job consults the program cache before any compile work and compiles
+// only to fill it. Every other job compiles its own IR.
+func (p *Pool) runJob(i int, job *Job, fs *frontends) Result {
 	var (
 		res Result
 		run func(nascent.RunConfig) (nascent.RunResult, error)
@@ -623,14 +654,16 @@ func (p *Pool) runJob(i int, job *Job) Result {
 	case job.Precompiled != nil:
 		res.CacheHit = true // the compile came from the caller's cache
 		run = job.Precompiled.Run
-	case memoized(job):
-		e, prog := p.bytecode(i, job, frontendKey(job), &res)
-		if e.err != nil {
-			return fail("%s: %w", e.err)
+	case job.cached():
+		res.Key = job.Key()
+		pr, prog, err := p.program(i, job, fs, &res)
+		if err != nil {
+			return fail("%s: %w", err)
 		}
-		res.Prog, run = prog, e.run
+		res.Prog, run = prog, pr.Run
 	default:
-		prog, err := p.compile(i, job, frontendKey(job), &res)
+		res.Key = job.Key()
+		prog, err := p.compile(i, job, fs, &res)
 		if err != nil {
 			return fail("%s: %w", err)
 		}
@@ -708,20 +741,20 @@ type MetricsSnapshot struct {
 	WorkerDeaths     int    `json:"worker_deaths"`
 	Timeouts         int    `json:"timeouts"`
 	Quarantined      int    `json:"quarantined"`
-	// Tiering state, summed across the pool's vmjit/tiered memo
-	// entries; TierPrograms breaks it down per program handle, sorted
-	// by key then engine so the wire form is deterministic.
+	// Tiering state, summed across the pool's vmjit/tiered program
+	// cache entries; TierPrograms breaks it down per entry, sorted by
+	// key so the wire form is deterministic.
 	TierPromotions uint64                `json:"tier_promotions"`
 	TierDemotions  uint64                `json:"tier_demotions"`
 	TierPrograms   []TierProgramSnapshot `json:"tier_programs,omitempty"`
 }
 
-// TierProgramSnapshot is the wire form of one vmjit/tiered memo
-// entry's controller state: which tier the program is serving from and
+// TierProgramSnapshot is the wire form of one vmjit/tiered program
+// cache entry's controller state: which tier the program is serving from and
 // the hotness/promotion counters that got it there.
 type TierProgramSnapshot struct {
-	// Key identifies the program: a hex prefix of its source hash (the
-	// same content hash that keys the bytecode memo).
+	// Key identifies the program: a hex prefix of its content address
+	// (Job.Key, which keys the program cache).
 	Key          string `json:"key"`
 	Engine       string `json:"engine"`
 	Tier         string `json:"tier"`
@@ -755,46 +788,32 @@ func (m Metrics) Snapshot() MetricsSnapshot {
 }
 
 // MetricsSnapshot returns the pool's aggregate counters in wire form,
-// including the per-program tier state of every vmjit/tiered memo
-// entry.
+// including the per-program tier state of every vmjit/tiered program
+// cache entry.
 func (p *Pool) MetricsSnapshot() MetricsSnapshot {
 	snap := p.Metrics().Snapshot()
-	type handle struct {
-		key string
-		eng string
-		s   tier.Snapshot
-	}
-	var hs []handle
-	p.mu.Lock()
-	for k, e := range p.bcMemo {
-		switch {
-		case e.jit != nil:
-			hs = append(hs, handle{hex.EncodeToString(k.fe.hash[:8]), k.engine.String(), e.jit.Snapshot()})
-		case e.trd != nil:
-			hs = append(hs, handle{hex.EncodeToString(k.fe.hash[:8]), k.engine.String(), e.trd.Snapshot()})
+	p.cache.Range(func(k progcache.Key, pr *program) {
+		s, ok := pr.tierSnapshot()
+		if !ok {
+			return
 		}
-	}
-	p.mu.Unlock()
-	sort.Slice(hs, func(i, j int) bool {
-		if hs[i].key != hs[j].key {
-			return hs[i].key < hs[j].key
-		}
-		return hs[i].eng < hs[j].eng
-	})
-	for _, h := range hs {
-		snap.TierPromotions += h.s.Promotions
-		snap.TierDemotions += h.s.Demotions
+		snap.TierPromotions += s.Promotions
+		snap.TierDemotions += s.Demotions
 		snap.TierPrograms = append(snap.TierPrograms, TierProgramSnapshot{
-			Key:          h.key,
-			Engine:       h.eng,
-			Tier:         h.s.Tier,
-			Runs:         h.s.Runs,
-			Instructions: h.s.Instrs,
-			ProfiledRuns: h.s.ProfiledRuns,
-			Promotions:   h.s.Promotions,
-			Demotions:    h.s.Demotions,
+			Key:          hex.EncodeToString(k[:8]),
+			Engine:       pr.engine.String(),
+			Tier:         s.Tier,
+			Runs:         s.Runs,
+			Instructions: s.Instrs,
+			ProfiledRuns: s.ProfiledRuns,
+			Promotions:   s.Promotions,
+			Demotions:    s.Demotions,
 		})
-	}
+	})
+	// The key covers the engine, so it alone orders the rows.
+	sort.Slice(snap.TierPrograms, func(i, j int) bool {
+		return snap.TierPrograms[i].Key < snap.TierPrograms[j].Key
+	})
 	return snap
 }
 

@@ -1,6 +1,7 @@
 package evalpool_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"reflect"
@@ -210,5 +211,58 @@ func TestMemoConcurrentFill(t *testing.T) {
 	if filled != 1 || m.BytecodeCompiles != 1 || m.BytecodeHits != len(jobs)-1 || m.FrontendCompiles != 1 {
 		t.Errorf("%d fills, %d compiles / %d hits, %d frontend compiles; want 1, 1 / %d, 1",
 			filled, m.BytecodeCompiles, m.BytecodeHits, m.FrontendCompiles, len(jobs)-1)
+	}
+}
+
+// TestSubmitStateIsBounded streams 2000 distinct sources through
+// SubmitCtx, every second one Fresh, on a pool whose program cache
+// holds 64 entries. Only the cached half reaches the cache, the cache
+// never exceeds its capacity (tier handles included), and no front end
+// outlives its job: a repeated Fresh source runs the front end again.
+func TestSubmitStateIsBounded(t *testing.T) {
+	const capacity, n = 64, 2000
+	pool := evalpool.NewSupervised(evalpool.Config{Workers: 1, CacheEntries: capacity})
+	engines := []nascent.Engine{nascent.EngineVMRCE, nascent.EngineVMJit, nascent.EngineTiered}
+	for i := 0; i < n; i++ {
+		job := evalpool.Job{
+			Name:   fmt.Sprintf("p%d", i),
+			Source: srcN(i),
+			Opts:   nascent.Options{BoundsChecks: true},
+			Run:    nascent.RunConfig{Engine: engines[i%len(engines)]},
+			Fresh:  i%2 == 1,
+		}
+		r := pool.SubmitCtx(context.Background(), job)
+		if r.Err != nil {
+			t.Fatalf("%s: %v", job.Name, r.Err)
+		}
+		if want := fmt.Sprintf("%d\n", i); r.Res.Output != want {
+			t.Fatalf("%s: output %q, want %q", job.Name, r.Res.Output, want)
+		}
+		if st := pool.CacheStats(); st.Entries > capacity {
+			t.Fatalf("after %d jobs the cache holds %d entries, capacity %d", i+1, st.Entries, capacity)
+		}
+	}
+	st := pool.CacheStats()
+	if st.Entries != capacity || st.Misses != n/2 || st.Hits != 0 || st.Evictions != n/2-capacity {
+		t.Errorf("cache stats %+v; want %d entries, %d misses, 0 hits, %d evictions", st, capacity, n/2, n/2-capacity)
+	}
+	pool.SettleTiers()
+	if rows := pool.MetricsSnapshot().TierPrograms; len(rows) > capacity {
+		t.Errorf("%d tier rows outlive a %d-entry cache", len(rows), capacity)
+	}
+
+	before := pool.Metrics()
+	again := evalpool.Job{Name: "again", Source: srcN(1), Opts: nascent.Options{BoundsChecks: true}, Fresh: true}
+	for i := 0; i < 2; i++ {
+		if r := pool.SubmitCtx(context.Background(), again); r.Err != nil || r.CacheHit {
+			t.Fatalf("fresh resubmission %d: err %v, cacheHit %v", i, r.Err, r.CacheHit)
+		}
+	}
+	if m := pool.Metrics(); m.FrontendCompiles-before.FrontendCompiles != 2 || m.FrontendHits != before.FrontendHits {
+		t.Errorf("a submitted job's front end was retained: %d compiles, %d hits added",
+			m.FrontendCompiles-before.FrontendCompiles, m.FrontendHits-before.FrontendHits)
+	}
+	if got := pool.CacheStats(); got != st {
+		t.Errorf("fresh jobs touched the cache: %+v, was %+v", got, st)
 	}
 }

@@ -41,6 +41,9 @@ type Config struct {
 	// fields select the tier package defaults). It does not affect the
 	// other engines.
 	TierThresholds tier.Thresholds
+	// CacheEntries bounds the program cache (<= 0 selects
+	// DefaultCacheEntries).
+	CacheEntries int
 }
 
 const (
@@ -121,7 +124,7 @@ func abnormal(err error) bool {
 }
 
 // superviseJob runs one job under the retry/quarantine policy.
-func (p *Pool) superviseJob(ctx context.Context, i int, job *Job) Result {
+func (p *Pool) superviseJob(ctx context.Context, i int, job *Job, fs *frontends) Result {
 	maxAttempts := p.cfg.MaxAttempts
 	if maxAttempts <= 0 {
 		maxAttempts = defaultMaxAttempts
@@ -136,7 +139,7 @@ func (p *Pool) superviseJob(ctx context.Context, i int, job *Job) Result {
 			p.accountSupervised()
 			return Result{Err: fmt.Errorf("%s: pool cancelled: %w", job.Name, err), Attempts: attempt}
 		}
-		res := p.attempt(ctx, i, job, attempt)
+		res := p.attempt(ctx, i, job, attempt, fs)
 		res.Attempts = attempt + 1
 		if !abnormal(res.Err) {
 			return res
@@ -219,7 +222,7 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 // abort path cancels the attempt context, which is threaded into the
 // job's RunConfig so an in-flight engine run stops at its next poll
 // point rather than running to completion.
-func (p *Pool) attempt(ctx context.Context, i int, job *Job, attempt int) Result {
+func (p *Pool) attempt(ctx context.Context, i int, job *Job, attempt int, fs *frontends) Result {
 	actx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	j := *job
@@ -260,7 +263,7 @@ func (p *Pool) attempt(ctx context.Context, i int, job *Job, attempt int) Result
 				time.Sleep(2 * time.Millisecond)
 			}
 		}
-		done <- p.runJob(i, &j)
+		done <- p.runJob(i, &j, fs)
 	}()
 
 	var timeout <-chan time.Time

@@ -93,10 +93,12 @@ type Fleet struct {
 
 	rollMu sync.Mutex // at most one Roll at a time (TryLock, never queue)
 
+	// progs holds the coordinator's per-program state, LRU-bounded so
+	// no stream of tenant programs can grow it without limit.
+	progs *evalpool.Cache[progcache.Key, *progState]
+
 	mu        sync.Mutex
-	encMemo   map[encKey]*encEntry
-	tierRuns  map[progcache.Key]uint64 // completed-run counts for tiered jobs
-	jobEwmaMs float64                  // fleet-wide job latency EWMA (adaptive hedging)
+	jobEwmaMs float64 // fleet-wide job latency EWMA (adaptive hedging)
 	extra     extraMetrics
 }
 
@@ -121,9 +123,21 @@ type extraMetrics struct {
 	rolls             uint64
 }
 
-// encEntry is a once-guarded progio encoding memo slot: every variant
-// sharing one (source, options, engine, optimization level) ships the
-// same bytes.
+// progState is the coordinator's state for one program (one
+// (source, filename, options, engine) content address): the progio
+// encodings shipped at each rewrite level, and the completed-run count
+// that drives tiered promotion. Both live exactly as long as the
+// program's cache entry, so an eviction also resets its hotness —
+// promotion state must never outlive the artifact it describes.
+type progState struct {
+	enc  [numEncLevels]encEntry
+	runs uint64 // completed-run count for tiered jobs; guarded by Fleet.mu
+}
+
+// encEntry is a once-guarded progio encoding slot: every variant
+// sharing one program and rewrite level ships the same bytes. The
+// level is separate from the program's key because the tiered engine
+// ships one program at different levels as it heats up.
 type encEntry struct {
 	once sync.Once
 	data []byte
@@ -140,16 +154,8 @@ const (
 	encBase encLevel = iota
 	encOpt
 	encRce
+	numEncLevels
 )
-
-// encKey addresses one encoding memo slot. The rewrite level is
-// separate from the content key because the tiered engine ships the
-// same (source, options, engine) at different levels as its programs
-// heat up.
-type encKey struct {
-	key   progcache.Key
-	level encLevel
-}
 
 // New starts a fleet: Workers processes are spawned lazily on first
 // dispatch, so a fleet whose jobs all fail to compile never forks.
@@ -173,12 +179,11 @@ func New(cfg Config) (*Fleet, error) {
 		cfg.Logf = func(string, ...any) {}
 	}
 	f := &Fleet{
-		cfg:      cfg,
-		pool:     evalpool.New(0),
-		slots:    make(chan *member, cfg.Workers*cfg.MaxInFlight),
-		stop:     make(chan struct{}),
-		encMemo:  make(map[encKey]*encEntry),
-		tierRuns: make(map[progcache.Key]uint64),
+		cfg:   cfg,
+		pool:  evalpool.New(0),
+		slots: make(chan *member, cfg.Workers*cfg.MaxInFlight),
+		stop:  make(chan struct{}),
+		progs: evalpool.NewCache[progcache.Key, *progState](0),
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		m := &member{fleet: f, idx: i}
@@ -324,16 +329,20 @@ func (f *Fleet) resolveTier(job *evalpool.Job) string {
 	case nascent.EngineVMJit:
 		return tier.TierVMJit
 	case nascent.EngineTiered:
-		opts := job.Opts
-		opts.Filename = ""
-		key := progcache.KeyOf(job.Source, filenameOr(job.Filename), opts, job.Run.Engine)
+		st := f.state(job)
 		f.mu.Lock()
-		runs := f.tierRuns[key]
-		f.tierRuns[key] = runs + 1
+		runs := st.runs
+		st.runs++
 		f.mu.Unlock()
 		return f.cfg.TierThresholds.TierForRuns(runs)
 	}
 	return ""
+}
+
+// state returns a job's per-program state, creating it on first use.
+func (f *Fleet) state(job *evalpool.Job) *progState {
+	st, _, _ := f.progs.Get(job.Key(), func() (*progState, error) { return new(progState), nil })
+	return st
 }
 
 // filenameOr mirrors the cache layers' canonical default.
@@ -348,16 +357,7 @@ func filenameOr(name string) string {
 // encoding once per (source, filename, options, engine, rewrite
 // level).
 func (f *Fleet) encoded(job *evalpool.Job, prog *nascent.Program, level encLevel) ([]byte, error) {
-	opts := job.Opts
-	opts.Filename = ""
-	key := encKey{progcache.KeyOf(job.Source, filenameOr(job.Filename), opts, job.Run.Engine), level}
-	f.mu.Lock()
-	e := f.encMemo[key]
-	if e == nil {
-		e = &encEntry{}
-		f.encMemo[key] = e
-	}
-	f.mu.Unlock()
+	e := &f.state(job).enc[level]
 	e.once.Do(func() {
 		var vp *vm.Program
 		var err error

@@ -176,7 +176,7 @@ func ChaosSweep(src string, cfg ChaosConfig) (*ChaosReport, error) {
 		chaos.Enable(spec)
 		// A fresh supervised pool per seed: worker faults retry and
 		// quarantine under this seed's spec, and nothing is memoized
-		// across specs (the front-end memo must not serve one seed's
+		// across specs (the program cache must not serve one seed's
 		// injected failure to the next).
 		jobTimeout := cfg.JobTimeout
 		if jobTimeout == 0 {

@@ -235,11 +235,14 @@ func Verify(src string, cfg Config) (*Report, error) {
 		for _, e := range engines {
 			rc := runCfg
 			rc.Engine = e
+			// Fresh: every variant's Result carries its own lowered
+			// program, which checkVariant inspects.
 			job := evalpool.Job{
 				Name:   fmt.Sprintf("%s@%v", v.String(), e),
 				Source: src,
 				Opts:   v.Options(),
 				Run:    rc,
+				Fresh:  true,
 			}
 			if cfg.Mutate != nil {
 				job.Mutate = func(p *nascent.Program) { cfg.Mutate(v, p) }

@@ -2,8 +2,8 @@
 // program cache. Each entry is one vm.Program plus the compile
 // metadata a service response needs (static check count, optimizer
 // report), keyed by sha256 over (source, filename, options, engine) —
-// the same derivation the in-memory service cache uses, so the two
-// layers can never disagree about what a key means.
+// the same derivation the evalpool's in-memory program cache uses, so
+// the two layers can never disagree about what a key means.
 //
 // On-disk envelope (all integers little-endian):
 //
@@ -60,8 +60,8 @@ func (k Key) String() string { return hex.EncodeToString(k[:]) }
 // KeyOf computes the content address of one compile request: sha256
 // over (source, filename, options, engine) in a canonical
 // length-prefixed encoding, so no field boundary ambiguity can alias
-// two programs. The service's in-memory cache delegates here — the
-// derivation exists exactly once.
+// two programs. The evalpool's program cache (evalpool.Job.Key)
+// delegates here — the derivation exists exactly once.
 func KeyOf(source, filename string, opts nascent.Options, engine nascent.Engine) Key {
 	h := sha256.New()
 	var buf [8]byte

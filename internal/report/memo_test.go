@@ -13,7 +13,7 @@ import (
 
 // TestTablesRepeatOnOnePool renders Tables 1 and 2 twice on one pool,
 // as nascentd's /report does across requests. The second pass is
-// served from the bytecode memo: every run job is a hit that compiles
+// served from the program cache: every run job is a hit that compiles
 // nothing, and the text is byte-identical to the first pass and to
 // the golden file.
 func TestTablesRepeatOnOnePool(t *testing.T) {
@@ -25,7 +25,7 @@ func TestTablesRepeatOnOnePool(t *testing.T) {
 	for _, tc := range []struct {
 		n       int
 		f       func() (string, error)
-		runJobs int // jobs per pass that run through the bytecode memo
+		runJobs int // jobs per pass that run through the program cache
 	}{
 		{1, r.Table1, 2 * len(suite.Programs)}, // the shape job is SkipRun
 		{2, r.Table2, len(suite.Programs) * (1 + len(table2Specs()))},
@@ -62,7 +62,7 @@ func TestTablesRepeatOnOnePool(t *testing.T) {
 
 // TestTimedGridFreshPoolMisses pins the timing columns on a bytecode
 // engine. A timed Runner built by New owns a fresh pool, so every Table
-// 2 job fills its own bytecode memo entry and is charged its own
+// 2 job fills its own program cache entry and is charged its own
 // optimizer (Range) and whole-compile (Nascent) time; none is a hit.
 func TestTimedGridFreshPoolMisses(t *testing.T) {
 	if testing.Short() {

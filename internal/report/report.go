@@ -56,8 +56,10 @@ type Evaluator interface {
 }
 
 // Runner generates tables on a (possibly concurrent) evaluation pool.
-// The pool's front-end memo table is shared across tables: generating
-// Tables 1–3 on one Runner parses each suite program exactly once.
+// The pool's program cache is shared across tables and requests: a
+// table's job whose program an earlier table (or request) compiled
+// runs without compiling. Within one table, the ~15 variants of a
+// program share one parse.
 type Runner struct {
 	pool    Evaluator
 	timings bool
@@ -123,7 +125,7 @@ type Table1Row struct {
 // table1Jobs is the three-job measurement of one program: the
 // unchecked build lowered for its static shape (a SkipRun job, so its
 // result always carries the IR, even when the run jobs are served from
-// the bytecode memo), the unchecked build run for instruction counts,
+// the program cache), the unchecked build run for instruction counts,
 // and the naive checked build run for check counts.
 func table1Jobs(p suite.Program) []evalpool.Job {
 	plain := evalpool.Job{Name: p.Name + "/plain", Source: p.Source, Filename: p.Name + ".mf"}

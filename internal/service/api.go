@@ -9,7 +9,8 @@
 //
 //   - a content-addressed compiled-program cache (key = hash(source,
 //     filename, options, engine)) with singleflight collapse of
-//     duplicate in-flight compiles and LRU eviction (cache.go);
+//     duplicate in-flight compiles and LRU eviction: the evalpool's
+//     program cache, the one compile store on the request path;
 //   - admission control: a concurrency limiter plus a bounded wait
 //     queue; excess load is shed with 429 + Retry-After instead of
 //     degrading every request (limiter.go);
@@ -167,8 +168,9 @@ type RunRequest struct {
 	CompileRequest
 	// Budget bounds the run (clamped by server ceilings).
 	Budget Budget `json:"budget,omitempty"`
-	// NoCache bypasses the compiled-program cache for this request
-	// (drills use it so injection reaches the compile stages).
+	// NoCache compiles this request fresh, bypassing the program cache
+	// and leaving nothing behind in it (drills use it so injection
+	// reaches the compile stages).
 	NoCache bool `json:"no_cache,omitempty"`
 }
 
@@ -189,9 +191,8 @@ type VerifyRequest struct {
 type DrillRequest struct {
 	// Spec is the deterministic injection spec "seed:rate[:site]".
 	Spec string `json:"spec"`
-	// Run is the request to execute under injection. Its cache is
-	// bypassed and its frontend memo busted so injection can reach
-	// every pipeline stage.
+	// Run is the request to execute under injection. It compiles fresh,
+	// as under no_cache, so injection can reach every pipeline stage.
 	Run RunRequest `json:"run"`
 	// Name labels the drill's supervised job; worker-site injection is
 	// keyed by it, so (spec, name) deterministically selects the fate

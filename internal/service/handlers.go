@@ -190,23 +190,38 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	c, key, hit, err := s.compile(res.source, res.filename, res.opts, res.engine)
+	result := s.pool.Lookup(res.job("compile"))
 	s.breaker.report(res.reqScheme, res.reqEngine, res.probe, false)
-	if err != nil {
-		s.fail(w, classifyCompileErr(err))
+	if result.Err != nil {
+		s.fail(w, classifyCompileErr(result.Err))
 		return
 	}
-	writeJSON(w, http.StatusOK, s.compileResponse(c, key, hit, res))
+	writeJSON(w, http.StatusOK, compileResponse(&result, res))
 }
 
-func (s *Server) compileResponse(c *compiled, key cacheKey, hit bool, res *resolved) CompileResponse {
+// job is the evalpool job of one resolved request.
+func (res *resolved) job(name string) evalpool.Job {
+	job := evalpool.Job{
+		Name:     name,
+		Source:   res.source,
+		Filename: res.filename,
+		Opts:     res.opts,
+		Run:      res.runCfg,
+	}
+	job.Run.Engine = res.engine
+	return job
+}
+
+// compileResponse is the compile section of a response: the pool's
+// content address, program cache verdict and compile facts for the job.
+func compileResponse(result *evalpool.Result, res *resolved) CompileResponse {
 	return CompileResponse{
-		CacheKey:     key.String(),
-		CacheHit:     hit,
+		CacheKey:     result.Key.String(),
+		CacheHit:     result.ProgramHit,
 		Scheme:       res.opts.Scheme.String(),
 		Engine:       res.engine.String(),
-		StaticChecks: c.staticChecks,
-		Opt:          wireOptReport(c.opt),
+		StaticChecks: result.StaticChecks,
+		Opt:          wireOptReport(result.Opt),
 		Degraded:     res.degraded,
 	}
 }
@@ -246,35 +261,11 @@ func (s *Server) execute(r *http.Request, res *resolved, noCache bool, jobName s
 	ctx, cancel := s.runCtx(r, res.timeout)
 	defer cancel()
 
-	job := evalpool.Job{
-		Name:     jobName,
-		Source:   res.source,
-		Filename: res.filename,
-		Opts:     res.opts,
-		Run:      res.runCfg,
-	}
-	job.Run.Engine = res.engine
-
-	var (
-		c   *compiled
-		key cacheKey
-		hit bool
-		err error
-	)
-	if noCache {
-		// Drills bypass the cache AND the pool's frontend memo (unique
-		// filename per drill) so injection reaches every compile stage
-		// inside the supervised attempt.
-		key = contentKey(res.source, res.filename, res.opts, res.engine)
-	} else {
-		c, key, hit, err = s.compile(res.source, res.filename, res.opts, res.engine)
-		if err != nil {
-			s.breaker.report(res.reqScheme, res.reqEngine, res.probe, false)
-			return nil, classifyCompileErr(err)
-		}
-		job.Precompiled = c
-	}
-
+	// A cached request resolves its program through the pool's program
+	// cache; a no_cache request (and every drill) compiles inside the
+	// supervised attempt and leaves nothing behind.
+	job := res.job(jobName)
+	job.Fresh = noCache
 	result := s.pool.SubmitCtx(ctx, job)
 	abnormal := errors.Is(result.Err, evalpool.ErrPoisoned)
 	s.breaker.report(res.reqScheme, res.reqEngine, res.probe, abnormal)
@@ -285,14 +276,8 @@ func (s *Server) execute(r *http.Request, res *resolved, noCache bool, jobName s
 		s.nHealed.Add(1)
 	}
 
-	if c == nil {
-		// no-cache path: the pool compiled it (or served it from its
-		// bytecode memo); the compile section comes from the job's
-		// compile facts, which a memo hit reports too.
-		c = &compiled{engine: res.engine, staticChecks: result.StaticChecks, opt: result.Opt}
-	}
 	resp := &RunResponse{
-		Compile:      s.compileResponse(c, key, hit, res),
+		Compile:      compileResponse(&result, res),
 		Output:       result.Res.Output,
 		Instructions: result.Res.Instructions,
 		Checks:       result.Res.Checks,
@@ -376,7 +361,7 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleReport serves GET /report?table=1|2|3: the paper's tables,
-// measured on the service's shared pool (front ends memoized across
+// measured on the service's shared pool (programs cached across
 // requests), as structured JSON with the canonical text rendering
 // embedded.
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
@@ -448,6 +433,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, doc)
 }
 
+// CacheStats is the wire form of the program cache counters under
+// GET /metrics cache.
+type CacheStats = evalpool.CacheStats
+
 // metricsDoc is the body of GET /metrics.
 type metricsDoc struct {
 	UptimeMS  int64                    `json:"uptime_ms"`
@@ -458,9 +447,9 @@ type metricsDoc struct {
 	DiskCache *progcache.Metrics       `json:"disk_cache,omitempty"`
 	Breaker   breakerStats             `json:"breaker"`
 	Pool      evalpool.MetricsSnapshot `json:"pool"`
-	// Tiers lists per-entry tier state for vmjit/tiered programs
-	// resolved through the service cache (the pool's own tier rows
-	// appear under pool.tier_programs).
+	// Tiers lists per-entry tier state for the vmjit/tiered programs in
+	// the pool's program cache. They are the pool snapshot's
+	// tier_programs rows, served here once instead of under pool.
 	Tiers []evalpool.TierProgramSnapshot `json:"tiers,omitempty"`
 	// Fleet carries the worker fleet's soak counters and per-member
 	// health when a fleet is configured.
@@ -491,6 +480,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		st := s.fleet.Stats()
 		fleetStats = &st
 	}
+	pool := s.pool.MetricsSnapshot()
+	tiers := pool.TierPrograms
+	pool.TierPrograms = nil
 	writeJSON(w, http.StatusOK, metricsDoc{
 		UptimeMS: s.uptime().Milliseconds(),
 		Draining: s.draining.Load(),
@@ -506,11 +498,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			Panics:    s.nPanics.Load(),
 		},
 		Admission: s.limiter.stats(),
-		Cache:     s.cache.stats(),
+		Cache:     s.pool.CacheStats(),
 		DiskCache: s.diskStats(),
 		Breaker:   s.breaker.stats(),
-		Pool:      s.pool.MetricsSnapshot(),
-		Tiers:     s.cache.tierPrograms(),
+		Pool:      pool,
+		Tiers:     tiers,
 		Fleet:     fleetStats,
 		Audit:     s.auditSnapshot(),
 		Chaos:     currentChaos(),

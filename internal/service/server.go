@@ -16,8 +16,6 @@ import (
 	"nascent/internal/evalpool"
 	"nascent/internal/fleet"
 	"nascent/internal/progcache"
-	"nascent/internal/vm"
-	"nascent/internal/vm/tier"
 )
 
 // Config configures a Server. Every zero field selects a production
@@ -28,7 +26,9 @@ type Config struct {
 	// MaxQueue bounds requests waiting for a slot; beyond it requests
 	// are shed with 429 (default 64).
 	MaxQueue int
-	// CacheEntries bounds the compiled-program cache (default 256).
+	// CacheEntries bounds the pool's program cache, the one in-memory
+	// compile store on the request path (default 256). It overrides
+	// Pool.CacheEntries.
 	CacheEntries int
 	// ProgCacheDir enables the disk-backed program cache: compiled
 	// bytecode programs are persisted there (content-addressed, atomic
@@ -62,13 +62,6 @@ type Config struct {
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
 
-	// TierThresholds tune the tiered engine's promotion points (zero
-	// fields select the tier package defaults). Hotness is process
-	// state: cache entries — memory or disk — always start at the cold
-	// tier, so thresholds only shape when a warm entry recompiles, never
-	// what any run observes.
-	TierThresholds tier.Thresholds
-
 	// FleetWorkers, when > 0, shards /report measurement runs across
 	// worker processes instead of the in-process pool; FleetCommand
 	// builds the command for worker i (required then — nascentd
@@ -94,7 +87,11 @@ type Config struct {
 	// ProgCacheDir.
 	ScrubInterval time.Duration
 
-	// Pool configures the supervised evalpool (retry/quarantine policy).
+	// Pool configures the supervised evalpool: retry/quarantine policy,
+	// and the tiered engine's promotion points (Pool.TierThresholds;
+	// hotness is process state, so cache entries — memory or disk —
+	// always start at the cold tier, and thresholds only shape when a
+	// warm entry recompiles, never what any run observes).
 	Pool evalpool.Config
 
 	// Logf receives operational log lines (default log.Printf).
@@ -152,7 +149,6 @@ func (c *Config) withDefaults() Config {
 type Server struct {
 	cfg     Config
 	pool    *evalpool.Pool
-	cache   *Cache
 	disk    *progcache.Cache // nil when ProgCacheDir is empty
 	fleet   *fleet.Fleet     // nil unless FleetWorkers > 0
 	limiter *limiter
@@ -206,10 +202,11 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg = (&cfg).withDefaults()
 	ctx, cancel := context.WithCancel(context.Background())
+	poolCfg := cfg.Pool
+	poolCfg.CacheEntries = cfg.CacheEntries
 	s := &Server{
 		cfg:        cfg,
-		pool:       evalpool.NewSupervised(cfg.Pool),
-		cache:      newCache(cfg.CacheEntries),
+		pool:       evalpool.NewSupervised(poolCfg),
 		limiter:    newLimiter(cfg.MaxConcurrent, cfg.MaxQueue),
 		breaker:    newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
 		baseCtx:    ctx,
@@ -401,85 +398,6 @@ func (s *Server) clampBudget(b Budget) (nascent.RunConfig, time.Duration, *Error
 		timeout = t
 	}
 	return cfg, timeout, nil
-}
-
-// compile resolves one compile request through the content-addressed
-// cache: singleflight on a miss, LRU touch on a hit. Bytecode engines
-// precompile their vm.Program at fill time.
-//
-// With a disk cache configured, a fill for a bytecode engine first
-// consults it: a warm entry decodes straight to a runnable vm.Program
-// plus its compile metadata, and the frontend never runs. Any disk
-// failure — miss, corruption, version skew — falls through to a fresh
-// compile whose result is written back, healing the entry.
-func (s *Server) compile(source, filename string, opts nascent.Options, engine nascent.Engine) (*compiled, cacheKey, bool, error) {
-	if filename == "" {
-		filename = "input.mf"
-	}
-	key := contentKey(source, filename, opts, engine)
-	bytecode := engine != nascent.EngineTree
-	c, hit, err := s.cache.get(key, func() (*compiled, error) {
-		if s.disk != nil && bytecode {
-			if ent, err := s.disk.Get(key); err == nil {
-				out := &compiled{
-					vmProg:       ent.Prog,
-					engine:       engine,
-					staticChecks: ent.StaticChecks,
-					opt:          ent.Opt,
-				}
-				// Tier state is process state — warm bytecode from disk
-				// still starts at the cold tier.
-				s.wrapTier(out)
-				return out, nil
-			}
-		}
-		opts.Filename = filename
-		prog, err := nascent.Compile(source, opts)
-		if err != nil {
-			return nil, err
-		}
-		out := &compiled{prog: prog, engine: engine, staticChecks: prog.StaticChecks(), opt: prog.Opt}
-		switch engine {
-		case nascent.EngineVM, nascent.EngineTiered:
-			out.vmProg, err = vm.Compile(prog.IR)
-		case nascent.EngineVMOpt:
-			out.vmProg, err = vm.CompileOptimized(prog.IR)
-		case nascent.EngineVMRCE, nascent.EngineVMJit:
-			// Guard/deopt range-check elimination plus the optimizer;
-			// vmjit closure-compiles the same stream.
-			out.vmProg, err = vm.CompileRCE(prog.IR)
-		}
-		if err != nil {
-			return nil, err
-		}
-		s.wrapTier(out)
-		if s.disk != nil && bytecode {
-			// Best-effort persist; a write failure only costs the next
-			// cold start its warm path.
-			s.disk.Put(key, &progcache.Entry{Prog: out.vmProg, StaticChecks: out.staticChecks, Opt: out.opt})
-		}
-		return out, nil
-	})
-	return c, key, hit, err
-}
-
-// wrapTier attaches the tier handle for engines that execute through
-// one: vmjit entries warm a JitHandle (first run profiles on the
-// optimized switch VM, closure compilation happens in the background),
-// tiered entries get a hotness controller seeded at the cold tier. The
-// handle lives exactly as long as the cache entry, so an eviction also
-// resets the entry's hotness — by design, since promotion state must
-// never outlive the artifact it describes.
-func (s *Server) wrapTier(c *compiled) {
-	if c.vmProg == nil {
-		return
-	}
-	switch c.engine {
-	case nascent.EngineVMJit:
-		c.jit = tier.NewJitHandle(c.vmProg)
-	case nascent.EngineTiered:
-		c.trd = tier.FromBytecode(c.vmProg, s.cfg.TierThresholds)
-	}
 }
 
 // Drain performs graceful shutdown: flip the drain gate (new requests

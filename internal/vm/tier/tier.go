@@ -393,9 +393,8 @@ func (tp *Program) promoteRce() {
 // program actually executes and no run ever blocks on the compile.
 // A contained jit failure (compile, chaos-injected promotion failure,
 // or run) tombstones the closure tier and the handle keeps serving on
-// the optimized switch VM — never the tree. The evalpool bytecode memo
-// and the nascentd compile cache share this type for their vmjit
-// entries.
+// the optimized switch VM — never the tree. The evalpool program cache
+// holds one per vmjit entry.
 type JitHandle struct {
 	vp        *vm.Program
 	profiling atomic.Bool
