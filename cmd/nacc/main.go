@@ -11,7 +11,7 @@
 //	-scheme naive|NI|CS|LNI|SE|LI|LLS|ALL|MCM  placement scheme (default naive)
 //	-kind   PRX|INX                            check construction (default PRX)
 //	-impl   full|none|cross                    implication mode (default full)
-//	-engine tree|vm|vmopt|vmjit|tiered         execution engine (default tree);
+//	-engine tree|vm|vmopt|vmrce|vmjit|tiered   execution engine (default tree);
 //	                                           with -verify, any bytecode engine
 //	                                           also enables the engine-identity
 //	                                           sweep across every engine up to

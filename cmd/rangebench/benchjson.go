@@ -90,62 +90,47 @@ type benchProg struct {
 	run    map[string]func() error
 }
 
-// prepare compiles one suite program for every registered engine.
+// warmThresholds promote a tiered program at its first, second and
+// third completed run, so warm-up reaches the top tier.
+var warmThresholds = tier.Thresholds{OptRuns: 1, RceRuns: 2, JitRuns: 3}
+
+// prepare compiles one suite program for every registered engine
+// through the engine table and warms each engine's run handle to its
+// steady state. The jit fuses what this program's own dispatch profile
+// says it executes, and the tiering controller is promoted past all
+// three promotion points, so the timed runs measure the top tier plus
+// the (cheap) hotness bookkeeping a long-lived program pays.
 func prepare(name, source string) (*benchProg, error) {
 	cp, err := nascent.Compile(source, nascent.Options{BoundsChecks: true})
 	if err != nil {
 		return nil, err
 	}
-	bc, err := vm.Compile(cp.IR)
-	if err != nil {
-		return nil, fmt.Errorf("vm compile: %w", err)
-	}
-	opt, err := vm.Optimize(bc)
-	if err != nil {
-		return nil, fmt.Errorf("vm optimize: %w", err)
-	}
-	rce, err := vm.CompileRCE(cp.IR)
-	if err != nil {
-		return nil, fmt.Errorf("vm rce compile: %w", err)
-	}
 	res, err := cp.RunWith(nascent.RunConfig{})
 	if err != nil {
 		return nil, fmt.Errorf("run: %w", err)
 	}
-	// The jit fuses what the profile says this program executes. Its
-	// input is the guard/deopt (vmrce) bytecode — the same pairing the
-	// tier controller ships — so the profile comes from that program.
-	_, ds, err := rce.RunDispatch(nascent.RunConfig{})
-	if err != nil {
-		return nil, fmt.Errorf("profile run: %w", err)
-	}
-	jp, err := vm.JITCompile(rce, &ds)
-	if err != nil {
-		return nil, fmt.Errorf("jit compile: %w", err)
-	}
-	// Tiered steady state: warm the controller past all three promotion
-	// points so the timed runs measure the top tier plus the (cheap)
-	// hotness bookkeeping, which is what a long-lived program pays.
-	tp := tier.FromBytecode(bc, tier.Thresholds{OptRuns: 1, RceRuns: 2, JitRuns: 3})
-	for i := 0; i < 5; i++ {
-		if _, err := tp.Run(nascent.RunConfig{}); err != nil {
-			return nil, fmt.Errorf("tiered warm-up: %w", err)
+	bp := &benchProg{name: name, instrs: res.Instructions, run: map[string]func() error{}}
+	for _, e := range nascent.AllEngines() {
+		if e == nascent.EngineTree {
+			bp.run[e.String()] = func() error { _, err := cp.RunWith(nascent.RunConfig{}); return err }
+			continue
 		}
+		vp, err := vm.Build(e, cp.IR)
+		if err != nil {
+			return nil, fmt.Errorf("%v compile: %w", e, err)
+		}
+		h := tier.NewHandle(e, vp, warmThresholds)
+		for i := 0; i < 5; i++ {
+			if _, err := h.Run(nascent.RunConfig{}); err != nil {
+				return nil, fmt.Errorf("%v warm-up: %w", e, err)
+			}
+		}
+		if th, ok := h.(tier.Handle); ok {
+			th.Settle()
+		}
+		bp.run[e.String()] = func() error { _, err := h.Run(nascent.RunConfig{}); return err }
 	}
-	tp.Settle()
-
-	return &benchProg{
-		name:   name,
-		instrs: res.Instructions,
-		run: map[string]func() error{
-			"tree":   func() error { _, err := cp.RunWith(nascent.RunConfig{}); return err },
-			"vm":     func() error { _, err := bc.Run(nascent.RunConfig{}); return err },
-			"vmopt":  func() error { _, err := opt.Run(nascent.RunConfig{}); return err },
-			"vmrce":  func() error { _, err := rce.Run(nascent.RunConfig{}); return err },
-			"vmjit":  func() error { _, err := jp.Run(nascent.RunConfig{}); return err },
-			"tiered": func() error { _, err := tp.Run(nascent.RunConfig{}); return err },
-		},
-	}, nil
+	return bp, nil
 }
 
 // timeProgram measures one program under one engine with a calibrated
@@ -189,12 +174,6 @@ func runBenchJSON(path string) int {
 	}
 
 	engineNames := nascent.EngineNames()
-	for _, name := range engineNames {
-		if progs[0].run[name] == nil {
-			fmt.Fprintf(os.Stderr, "rangebench: engine %q registered but has no benchjson runner\n", name)
-			return 1
-		}
-	}
 
 	doc := benchDoc{
 		Benchmark: "rangebench -benchjson",

@@ -109,11 +109,9 @@ func (j *Job) cached() bool {
 }
 
 // Runner is a precompiled program handle a Precompiled job executes
-// directly. *vm.Program satisfies it; implementations must be safe for
-// concurrent use.
-type Runner interface {
-	Run(cfg nascent.RunConfig) (nascent.RunResult, error)
-}
+// directly: a *vm.Program or any engine's run handle. Implementations
+// must be safe for concurrent use.
+type Runner = vm.Runner
 
 // Result is the outcome of one Job. Err carries the first failing
 // stage's error; when it is nil the compile facts and Res are
@@ -257,14 +255,12 @@ type Pool struct {
 
 // program is one program cache entry: exactly what a run needs, plus
 // the compile facts a job reports (the same ones a progcache.Entry
-// carries), so a hit needs no IR. Exactly one of ir/vm/jit/trd is set
-// by engine, unless bcErr is. Evicting the entry drops its tier handle
-// with it: promotion state never outlives the artifact it describes.
+// carries), so a hit needs no IR. run is the engine's run handle
+// (tier.NewHandle), or the shared IR's tree evaluator; it is nil only
+// when bcErr is set. Evicting the entry drops its tier handle with it:
+// promotion state never outlives the artifact it describes.
 type program struct {
-	ir           *nascent.Program // tree: the shared immutable IR
-	vm           *vm.Program      // vm / vmopt / vmrce: shared immutable program
-	jit          *tier.JitHandle  // vmjit: profile-on-first-run closure handle
-	trd          *tier.Program    // tiered: hotness-driven tiering controller
+	run          Runner
 	engine       nascent.Engine
 	staticChecks int
 	opt          *nascent.OptReport
@@ -276,30 +272,16 @@ type program struct {
 
 // Run executes the entry's shared program under cfg.
 func (pr *program) Run(cfg nascent.RunConfig) (nascent.RunResult, error) {
-	switch {
-	case pr.bcErr != nil:
+	if pr.bcErr != nil {
 		return nascent.RunResult{}, pr.bcErr
-	case pr.jit != nil:
-		return pr.jit.Run(cfg)
-	case pr.trd != nil:
-		return pr.trd.Run(cfg)
-	case pr.vm != nil:
-		return pr.vm.Run(cfg)
 	}
-	return pr.ir.RunWith(cfg)
+	return pr.run.Run(cfg)
 }
 
-// tierSnapshot returns the entry's tier state (false for entries
-// without a tier handle).
-func (pr *program) tierSnapshot() (tier.Snapshot, bool) {
-	switch {
-	case pr.jit != nil:
-		return pr.jit.Snapshot(), true
-	case pr.trd != nil:
-		return pr.trd.Snapshot(), true
-	}
-	return tier.Snapshot{}, false
-}
+// treeRunner runs a tree-engine entry's shared IR.
+type treeRunner struct{ prog *nascent.Program }
+
+func (t treeRunner) Run(cfg nascent.RunConfig) (nascent.RunResult, error) { return t.prog.RunWith(cfg) }
 
 type feKey struct {
 	hash     [sha256.Size]byte
@@ -514,9 +496,9 @@ func (p *Pool) compile(i int, job *Job, fs *frontends, res *Result) (*nascent.Pr
 // program returns the program cache entry of a job (res.Key), filling
 // it on first use. Every job for the same (source, filename, options,
 // engine) shares one entry: the compile pipeline is deterministic, so
-// one immutable program serves them all, while EngineVMJit and
-// EngineTiered entries hold a mutable tier handle whose hotness state
-// persists across jobs (the second job for the same source runs warmer
+// one immutable program serves them all, while vmjit and tiered
+// entries hold a mutable tier handle whose hotness state persists
+// across jobs (the second job for the same source runs warmer
 // than the first). Only the filling job does compile work, so only a
 // bytecode fill that compiled returns a lowered program.
 func (p *Pool) program(i int, job *Job, fs *frontends, res *Result) (*program, *nascent.Program, error) {
@@ -557,8 +539,8 @@ func (p *Pool) program(i int, job *Job, fs *frontends, res *Result) (*program, *
 // the program, otherwise by compiling the job and running the engine's
 // bytecode pipeline, persisting the result for the next process. It
 // returns the lowered program when the entry does not keep it, and
-// whether the disk served the fill. This is the request path's one
-// engine→pipeline switch.
+// whether the disk served the fill. The engine's pipeline and run
+// handle come from the engine table (vm.Build, tier.NewHandle).
 func (p *Pool) fill(i int, job *Job, fs *frontends, res *Result) (*program, *nascent.Program, bool, error) {
 	eng := job.Run.Engine
 	if p.disk != nil && eng != nascent.EngineTree {
@@ -577,24 +559,13 @@ func (p *Pool) fill(i int, job *Job, fs *frontends, res *Result) (*program, *nas
 		return nil, nil, false, err
 	}
 	if eng == nascent.EngineTree {
-		return &program{ir: prog, engine: eng, staticChecks: res.StaticChecks, opt: res.Opt}, nil, false, nil
+		return &program{run: treeRunner{prog}, engine: eng, staticChecks: res.StaticChecks, opt: res.Opt}, nil, false, nil
 	}
 	// The bytecode pipeline is charged to the filling job's Run, as the
 	// stage that executes the program.
 	t0 := time.Now()
 	defer func() { res.Run += time.Since(t0) }()
-	var vp *vm.Program
-	switch eng {
-	case nascent.EngineVMOpt:
-		vp, err = vm.CompileOptimized(prog.IR)
-	case nascent.EngineVMRCE, nascent.EngineVMJit:
-		// The guard/deopt rewrite plus the optimizer: vmrce runs it on
-		// the switch VM, vmjit closure-compiles the same stream (vmrce
-		// is the jit's input tier).
-		vp, err = vm.CompileRCE(prog.IR)
-	default:
-		vp, err = vm.Compile(prog.IR)
-	}
+	vp, err := vm.Build(eng, prog.IR)
 	if err != nil {
 		return &program{engine: eng, staticChecks: res.StaticChecks, opt: res.Opt, bcErr: err}, prog, false, nil
 	}
@@ -605,19 +576,10 @@ func (p *Pool) fill(i int, job *Job, fs *frontends, res *Result) (*program, *nas
 	return p.install(eng, vp, res.StaticChecks, res.Opt), prog, false, nil
 }
 
-// install wraps a bytecode program in the tier handle its engine
+// install wraps a bytecode program in the run handle its engine
 // executes through.
 func (p *Pool) install(eng nascent.Engine, vp *vm.Program, staticChecks int, opt *nascent.OptReport) *program {
-	pr := &program{engine: eng, staticChecks: staticChecks, opt: opt}
-	switch eng {
-	case nascent.EngineVMJit:
-		pr.jit = tier.NewJitHandle(vp)
-	case nascent.EngineTiered:
-		pr.trd = tier.FromBytecode(vp, p.cfg.TierThresholds)
-	default:
-		pr.vm = vp
-	}
-	return pr
+	return &program{run: tier.NewHandle(eng, vp, p.cfg.TierThresholds), engine: eng, staticChecks: staticChecks, opt: opt}
 }
 
 // SettleTiers blocks until no background tier promotion (a vmjit
@@ -626,11 +588,8 @@ func (p *Pool) install(eng nascent.Engine, vp *vm.Program, staticChecks int, opt
 // snapshots drain it here.
 func (p *Pool) SettleTiers() {
 	p.cache.Range(func(_ progcache.Key, pr *program) {
-		switch {
-		case pr.jit != nil:
-			pr.jit.Settle()
-		case pr.trd != nil:
-			pr.trd.Settle()
+		if h, ok := pr.run.(tier.Handle); ok {
+			h.Settle()
 		}
 	})
 }
@@ -793,10 +752,11 @@ func (m Metrics) Snapshot() MetricsSnapshot {
 func (p *Pool) MetricsSnapshot() MetricsSnapshot {
 	snap := p.Metrics().Snapshot()
 	p.cache.Range(func(k progcache.Key, pr *program) {
-		s, ok := pr.tierSnapshot()
+		h, ok := pr.run.(tier.Handle)
 		if !ok {
 			return
 		}
+		s := h.Snapshot()
 		snap.TierPromotions += s.Promotions
 		snap.TierDemotions += s.Demotions
 		snap.TierPrograms = append(snap.TierPrograms, TierProgramSnapshot{

@@ -38,7 +38,7 @@ func TestProgramStateIsBounded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := f.encoded(j, prog, encRce); err != nil {
+		if _, err := f.encoded(j, prog, nascent.EngineVMRCE); err != nil {
 			t.Fatal(err)
 		}
 		for r := 0; r < 1<<6; r++ {

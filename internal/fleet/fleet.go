@@ -125,37 +125,27 @@ type extraMetrics struct {
 
 // progState is the coordinator's state for one program (one
 // (source, filename, options, engine) content address): the progio
-// encodings shipped at each rewrite level, and the completed-run count
-// that drives tiered promotion. Both live exactly as long as the
-// program's cache entry, so an eviction also resets its hotness —
-// promotion state must never outlive the artifact it describes.
+// encodings shipped for it, and the completed-run count that drives
+// tiered promotion. Both live exactly as long as the program's cache
+// entry, so an eviction also resets its hotness — promotion state must
+// never outlive the artifact it describes.
 type progState struct {
-	enc  [numEncLevels]encEntry
+	// enc is indexed by the engine whose bytecode was shipped (the
+	// vm.EngineSpec Bytecode column). It is separate from the program's
+	// key because the tiered engine ships one program as different
+	// engines' bytecode as it heats up; its vmjit tier shares vmrce's
+	// bytes.
+	enc  []encEntry
 	runs uint64 // completed-run count for tiered jobs; guarded by Fleet.mu
 }
 
 // encEntry is a once-guarded progio encoding slot: every variant
-// sharing one program and rewrite level ships the same bytes. The
-// level is separate from the program's key because the tiered engine
-// ships one program at different levels as it heats up.
+// sharing one program and bytecode ships the same bytes.
 type encEntry struct {
 	once sync.Once
 	data []byte
 	err  error
 }
-
-// encLevel is the rewrite pipeline a shipped program went through:
-// the base lowering, the optimized stream, or the guard/deopt
-// range-check-eliminated stream (which vmrce runs and vmjit
-// closure-compiles).
-type encLevel uint8
-
-const (
-	encBase encLevel = iota
-	encOpt
-	encRce
-	numEncLevels
-)
 
 // New starts a fleet: Workers processes are spawned lazily on first
 // dispatch, so a fleet whose jobs all fail to compile never forks.
@@ -318,17 +308,15 @@ func (f *Fleet) Evaluate(jobs []evalpool.Job) []evalpool.Result {
 }
 
 // resolveTier makes the coordinator-local promotion decision for one
-// job: vmjit jobs always ship the jit tier (the worker compiles the
-// closures from the optimized bytes it receives), tiered jobs consult
-// the per-program completed-run counter against the promotion
-// thresholds — the same entry-time, completed-runs semantics as
-// tier.Program, so a program evaluated once never recompiles. All
-// other engines carry no tier.
+// job: a tiered job consults the per-program completed-run counter
+// against the promotion thresholds — the same entry-time,
+// completed-runs semantics as tier.Program, so a program evaluated
+// once never recompiles — and an engine that closure-compiles always
+// ships its own tier (the worker compiles the closures from the bytes
+// it receives). All other engines carry no tier.
 func (f *Fleet) resolveTier(job *evalpool.Job) string {
-	switch job.Run.Engine {
-	case nascent.EngineVMJit:
-		return tier.TierVMJit
-	case nascent.EngineTiered:
+	e := job.Run.Engine
+	if tier.Promotes(e) {
 		st := f.state(job)
 		f.mu.Lock()
 		runs := st.runs
@@ -336,12 +324,17 @@ func (f *Fleet) resolveTier(job *evalpool.Job) string {
 		f.mu.Unlock()
 		return f.cfg.TierThresholds.TierForRuns(runs)
 	}
+	if vm.Spec(e).JIT {
+		return e.String()
+	}
 	return ""
 }
 
 // state returns a job's per-program state, creating it on first use.
 func (f *Fleet) state(job *evalpool.Job) *progState {
-	st, _, _ := f.progs.Get(job.Key(), func() (*progState, error) { return new(progState), nil })
+	st, _, _ := f.progs.Get(job.Key(), func() (*progState, error) {
+		return &progState{enc: make([]encEntry, len(nascent.AllEngines()))}, nil
+	})
 	return st
 }
 
@@ -353,22 +346,13 @@ func filenameOr(name string) string {
 	return name
 }
 
-// encoded returns the progio stream for a bytecode job, compiling and
-// encoding once per (source, filename, options, engine, rewrite
-// level).
-func (f *Fleet) encoded(job *evalpool.Job, prog *nascent.Program, level encLevel) ([]byte, error) {
-	e := &f.state(job).enc[level]
+// encoded returns the progio stream of one engine's bytecode for a
+// job, compiling and encoding once per (source, filename, options,
+// engine, shipped bytecode).
+func (f *Fleet) encoded(job *evalpool.Job, prog *nascent.Program, bytecode nascent.Engine) ([]byte, error) {
+	e := &f.state(job).enc[bytecode]
 	e.once.Do(func() {
-		var vp *vm.Program
-		var err error
-		switch level {
-		case encRce:
-			vp, err = vm.CompileRCE(prog.IR)
-		case encOpt:
-			vp, err = vm.CompileOptimized(prog.IR)
-		default:
-			vp, err = vm.Compile(prog.IR)
-		}
+		vp, err := vm.Build(bytecode, prog.IR)
 		if err != nil {
 			e.err = err
 			return
@@ -403,38 +387,27 @@ func (f *Fleet) buildShipment(job *evalpool.Job, res *evalpool.Result, tierName 
 			Run:      toWireLimits(job.Run),
 		},
 	}
-	switch job.Run.Engine {
-	case nascent.EngineVM, nascent.EngineVMOpt, nascent.EngineVMRCE,
-		nascent.EngineVMJit, nascent.EngineTiered:
-		// vmopt jobs ship optimized bytes; vmrce and vmjit (whose input
-		// tier is the guard/deopt rewrite) ship rce bytes; vm and cold
-		// tiered jobs ship the base lowering; warm tiered jobs ship the
-		// bytes of the tier they resolved to.
-		level := encBase
-		switch job.Run.Engine {
-		case nascent.EngineVMOpt:
-			level = encOpt
-		case nascent.EngineVMRCE, nascent.EngineVMJit:
-			level = encRce
-		case nascent.EngineTiered:
-			switch tierName {
-			case tier.TierVMOpt:
-				level = encOpt
-			case tier.TierVMRCE, tier.TierVMJit:
-				level = encRce
-			}
-		}
-		data, err := f.encoded(job, res.Prog, level)
-		if err != nil {
-			return nil, err
-		}
-		sh.prog = &request{
-			Name: job.Name,
-			Tier: tierName,
-			Run:  toWireLimits(job.Run),
+	// A job ships the bytecode of the tier it resolved to, else of its
+	// own engine, as the engine table builds it; a tree job ships
+	// source only.
+	shipped := job.Run.Engine
+	if e, err := nascent.ParseEngine(tierName); err == nil {
+		shipped = e
+	}
+	bytecode := vm.Spec(shipped).Bytecode
+	if bytecode == nascent.EngineTree {
+		return sh, nil
+	}
+	data, err := f.encoded(job, res.Prog, bytecode)
+	if err != nil {
+		return nil, err
+	}
+	sh.prog = &request{
+		Name: job.Name,
+		Tier: tierName,
+		Run:  toWireLimits(job.Run),
 
-			Program: data,
-		}
+		Program: data,
 	}
 	return sh, nil
 }

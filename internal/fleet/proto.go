@@ -108,8 +108,8 @@ type request struct {
 	Opts     *wireOptions `json:"opts,omitempty"`
 
 	// Tier is the execution tier for a program-shipped job ("vm",
-	// "vmopt", or "vmjit"; empty means: run the bytes as shipped on the
-	// switch VM). The coordinator decides it — for the tiered engine in
+	// "vmopt", "vmrce", or "vmjit", which closure-compiles the bytes;
+	// empty means: run the bytes as shipped on the switch VM). The coordinator decides it — for the tiered engine in
 	// job-submission order — so workers never make promotion decisions
 	// and the shipped bytes plus this field fully determine execution.
 	Tier string `json:"tier,omitempty"`

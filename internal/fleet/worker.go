@@ -12,7 +12,6 @@ import (
 	"nascent/internal/interp"
 	"nascent/internal/progio"
 	"nascent/internal/vm"
-	"nascent/internal/vm/tier"
 )
 
 // ServeWorker speaks the fleet protocol on (r, w) until r reaches EOF:
@@ -116,15 +115,13 @@ func serve(req *request) *response {
 			resp.Err = toWireError(err, "decode")
 			return resp
 		}
-		run = prog.Run
-		if req.Tier == tier.TierVMJit {
-			// The coordinator promoted this program: compile the closure
-			// tier from the shipped bytes. A jit compile failure degrades
-			// to the switch VM — bit-identical, so degradation is silent.
-			if jp, err := vm.JITCompile(prog, nil); err == nil {
-				run = jp.Run
-			}
-		}
+		// The coordinator chose the tier (none parses as the tree,
+		// which runs the bytes as shipped): an engine that
+		// closure-compiles builds its closures from the shipped bytes.
+		// A jit compile failure degrades to the switch VM —
+		// bit-identical, so degradation is silent.
+		e, _ := nascent.ParseEngine(req.Tier)
+		run = vm.Executable(e, prog).Run
 	case req.Source != "":
 		opts := nascent.Options{Filename: req.Filename}
 		if req.Opts != nil {

@@ -6,13 +6,14 @@ import (
 	"nascent/internal/ir"
 )
 
-// Engine selects the execution substrate that runs a program. Both
-// engines implement the same observable contract — identical dynamic
+// Engine selects the execution substrate that runs a program. Every
+// engine implements the same observable contract — identical dynamic
 // instruction counts, check counts, outputs, trap positions, trap
 // classes, and resource budgets — so tables, oracle sweeps, and golden
-// files are byte-identical under either. The tree-walker is the
-// reference implementation; the bytecode VM (internal/vm) is the fast
-// path.
+// files are byte-identical under any of them. The tree-walker is the
+// reference implementation; the bytecode engines (internal/vm, whose
+// engine table says how each builds and runs its bytecode) are the
+// fast paths.
 type Engine uint8
 
 // Execution engines.
@@ -49,11 +50,11 @@ const (
 	EngineVMJit
 	// EngineTiered is the profile-guided tiering controller
 	// (internal/vm/tier): a program starts on EngineVM and is promoted in
-	// the background to EngineVMOpt and then EngineVMJit as its hotness
-	// counters cross the promotion thresholds. Promotion never changes an
-	// observable — every tier implements the same contract — so tiering
-	// only moves wall-clock. Importing nascent (or internal/vm/tier
-	// itself) links it.
+	// the background to EngineVMOpt, then EngineVMRCE, then EngineVMJit
+	// as its hotness counters cross the promotion thresholds. Promotion
+	// never changes an observable — every tier implements the same
+	// contract — so tiering only moves wall-clock. Importing nascent (or
+	// internal/vm/tier itself) links it.
 	EngineTiered
 
 	numEngines = iota
@@ -104,7 +105,8 @@ func AllEngines() []Engine {
 var engines [numEngines]func(*ir.Program, Config) (Result, error)
 
 // RegisterEngine installs an alternative execution engine. It is meant
-// to be called from an init function (internal/vm registers EngineVM);
+// to be called from an init function (internal/vm registers every
+// engine in its engine table, internal/vm/tier registers EngineTiered);
 // registering after programs have started running is a race.
 func RegisterEngine(e Engine, run func(*ir.Program, Config) (Result, error)) {
 	if int(e) >= numEngines {

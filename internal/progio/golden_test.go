@@ -17,26 +17,27 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the golden .bin fixtures")
 
-// goldenConfigs are the pinned (program, options, pipeline) triples
+// goldenConfigs are the pinned (program, options, engine) triples
 // behind testdata/*.bin. Four suite programs across the optimizer
 // range: the naive tree baseline, a scheme-optimized build, the
 // superinstruction-fused pipeline, and the guard/deopt (vmrce)
 // pipeline whose opRangeGuard/opCkAdd instructions motivated the
 // format-version 2 rev.
 var goldenConfigs = []struct {
-	fixture  string
-	program  string
-	opts     nascent.Options
-	pipeline string // "vm", "vmopt", or "vmrce"
+	fixture string
+	program string
+	opts    nascent.Options
+	engine  nascent.Engine // whose pipeline (vm.Build) builds the bytes
 }{
-	{"vortex_naive_vm.bin", "vortex", nascent.Options{BoundsChecks: true, Scheme: nascent.Naive}, "vm"},
-	{"mdg_lls_vm.bin", "mdg", nascent.Options{BoundsChecks: true, Scheme: nascent.LLS}, "vm"},
-	{"linpackd_lls_vmopt.bin", "linpackd", nascent.Options{BoundsChecks: true, Scheme: nascent.LLS}, "vmopt"},
-	{"trfd_lls_vmrce.bin", "trfd", nascent.Options{BoundsChecks: true, Scheme: nascent.LLS}, "vmrce"},
+	{"vortex_naive_vm.bin", "vortex", nascent.Options{BoundsChecks: true, Scheme: nascent.Naive}, nascent.EngineVM},
+	{"mdg_lls_vm.bin", "mdg", nascent.Options{BoundsChecks: true, Scheme: nascent.LLS}, nascent.EngineVM},
+	{"linpackd_lls_vmopt.bin", "linpackd", nascent.Options{BoundsChecks: true, Scheme: nascent.LLS}, nascent.EngineVMOpt},
+	{"trfd_lls_vmrce.bin", "trfd", nascent.Options{BoundsChecks: true, Scheme: nascent.LLS}, nascent.EngineVMRCE},
 }
 
-// compileGolden builds one golden config through its pinned pipeline.
-func compileGolden(t testing.TB, program string, opts nascent.Options, pipeline string) *vm.Program {
+// compileGolden builds one golden config through its engine's pipeline
+// in the engine table.
+func compileGolden(t testing.TB, program string, opts nascent.Options, engine nascent.Engine) *vm.Program {
 	t.Helper()
 	p, err := suite.Get(program)
 	if err != nil {
@@ -47,17 +48,9 @@ func compileGolden(t testing.TB, program string, opts nascent.Options, pipeline 
 	if err != nil {
 		t.Fatalf("compile %s: %v", program, err)
 	}
-	var vp *vm.Program
-	switch pipeline {
-	case "vmopt":
-		vp, err = vm.CompileOptimized(prog.IR)
-	case "vmrce":
-		vp, err = vm.CompileRCE(prog.IR)
-	default:
-		vp, err = vm.Compile(prog.IR)
-	}
+	vp, err := vm.Build(engine, prog.IR)
 	if err != nil {
-		t.Fatalf("vm compile %s (%s): %v", program, pipeline, err)
+		t.Fatalf("vm compile %s (%v): %v", program, engine, err)
 	}
 	return vp
 }
@@ -73,7 +66,7 @@ func compileGolden(t testing.TB, program string, opts nascent.Options, pipeline 
 func TestGoldenFixtures(t *testing.T) {
 	for _, gc := range goldenConfigs {
 		t.Run(gc.fixture, func(t *testing.T) {
-			enc := progio.Encode(compileGolden(t, gc.program, gc.opts, gc.pipeline))
+			enc := progio.Encode(compileGolden(t, gc.program, gc.opts, gc.engine))
 			path := filepath.Join("testdata", gc.fixture)
 
 			if *update {
@@ -184,7 +177,7 @@ func TestGoldenFixturesRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fresh := compileGolden(t, gc.program, gc.opts, gc.pipeline)
+			fresh := compileGolden(t, gc.program, gc.opts, gc.engine)
 
 			want, err1 := fresh.Run(nascent.RunConfig{})
 			got, err2 := decoded.Run(nascent.RunConfig{})

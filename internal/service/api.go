@@ -155,7 +155,7 @@ type CompileRequest struct {
 	Filename string `json:"filename,omitempty"`
 	// Options selects the backend configuration.
 	Options Options `json:"options,omitempty"`
-	// Engine: tree|vm|vmopt|vmjit|tiered (default tree). Compilation
+	// Engine: tree|vm|vmopt|vmrce|vmjit|tiered (default tree). Compilation
 	// is engine-independent at the IR level, but the cache entry is
 	// keyed by engine and bytecode engines precompile their program
 	// eagerly; vmjit and tiered entries additionally carry per-entry
@@ -182,7 +182,7 @@ type VerifyRequest struct {
 	Filename string `json:"filename,omitempty"`
 	// Engine selects the identity sweep: every engine up to and
 	// including the named one participates (tree → just the
-	// tree-walker; tiered → all five engines).
+	// tree-walker; tiered → all six engines).
 	Engine string `json:"engine,omitempty"`
 }
 

@@ -109,3 +109,80 @@ func TestBreakerFailedProbe(t *testing.T) {
 		t.Fatalf("stats: %+v, want 2 trips, 2 probes", st)
 	}
 }
+
+// TestBreakerDegradeLadder pins where an open circuit sends a request,
+// for every engine and every set of open circuits on the other
+// bytecode engines. A tripped engine steps down its ladder, skipping
+// every rung whose own circuit is open, and lands on the reference
+// configuration (naive scheme, tree engine) once the ladder runs out.
+// The ladder is spelled out here, not read from the engine table, so
+// the test pins the behaviour rather than the table.
+func TestBreakerDegradeLadder(t *testing.T) {
+	ladder := map[string][]string{
+		"tree":   nil,
+		"vm":     nil,
+		"vmopt":  nil,
+		"vmrce":  {"vmopt"},
+		"vmjit":  {"vmrce", "vmopt"},
+		"tiered": {"vmrce", "vmopt"},
+	}
+	s := newTestServer(t, nil)
+	names := nascent.EngineNames()
+	if len(names) != len(ladder) {
+		t.Fatalf("engines %v, ladder covers %d", names, len(ladder))
+	}
+	for _, from := range names {
+		var others []string
+		for _, n := range names {
+			if n != from && n != "tree" {
+				others = append(others, n)
+			}
+		}
+		for set := 0; set < 1<<len(others); set++ {
+			s.breaker = newBreaker(0, 0)
+			open := map[string]bool{from: true}
+			s.breaker.trip(nascent.ALL, mustEngine(t, from))
+			for i, n := range others {
+				if set&(1<<i) != 0 {
+					open[n] = true
+					s.breaker.trip(nascent.ALL, mustEngine(t, n))
+				}
+			}
+			wantEngine, wantScheme := "tree", nascent.Naive.String()
+			for _, rung := range ladder[from] {
+				if !open[rung] {
+					wantEngine, wantScheme = rung, nascent.ALL.String()
+					break
+				}
+			}
+			r, apiErr := s.resolve(&RunRequest{CompileRequest: CompileRequest{
+				Source: progOK, Options: Options{Scheme: "all"}, Engine: from,
+			}})
+			if apiErr != nil {
+				t.Fatalf("%s open %v: %v", from, open, apiErr)
+			}
+			d := r.degraded
+			if d == nil {
+				t.Fatalf("%s open %v: not degraded", from, open)
+			}
+			if d.FromEngine != from || d.FromScheme != nascent.ALL.String() ||
+				d.ToEngine != wantEngine || d.ToScheme != wantScheme {
+				t.Errorf("%s open %v: degraded %s/%s -> %s/%s, want -> %s/%s", from, open,
+					d.FromScheme, d.FromEngine, d.ToScheme, d.ToEngine, wantScheme, wantEngine)
+			}
+			if r.engine.String() != wantEngine || r.opts.Scheme.String() != wantScheme {
+				t.Errorf("%s open %v: resolved %v/%v, want %s/%s", from, open,
+					r.opts.Scheme, r.engine, wantScheme, wantEngine)
+			}
+		}
+	}
+}
+
+func mustEngine(t *testing.T, name string) nascent.Engine {
+	t.Helper()
+	e, err := nascent.ParseEngine(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}

@@ -16,6 +16,7 @@ import (
 	"nascent/internal/oracle"
 	"nascent/internal/progcache"
 	"nascent/internal/report"
+	"nascent/internal/vm"
 )
 
 // validateSource enforces the presence and size limits on program text.
@@ -139,21 +140,17 @@ func (s *Server) resolve(req *RunRequest) (*resolved, *Error) {
 	degraded, probe := s.breaker.allow(opts.Scheme, engine)
 	r.probe = probe
 	if degraded {
-		// A tripped top tier degrades down the ladder, not to the floor:
-		// vmjit and tiered fall to the guard/deopt switch VM (vmrce),
-		// vmrce to the optimized switch VM (vmopt) — identical
-		// observables, a tier's worth of speed each step — skipping any
-		// rung whose own circuit is open; when the whole ladder is open
-		// the reference configuration serves.
-		toScheme, toEngine := nascent.Naive, nascent.EngineTree
-		switch {
-		case (engine == nascent.EngineVMJit || engine == nascent.EngineTiered) &&
-			!s.breaker.isOpen(opts.Scheme, nascent.EngineVMRCE):
-			toScheme, toEngine = opts.Scheme, nascent.EngineVMRCE
-		case (engine == nascent.EngineVMJit || engine == nascent.EngineTiered ||
-			engine == nascent.EngineVMRCE) &&
-			!s.breaker.isOpen(opts.Scheme, nascent.EngineVMOpt):
-			toScheme, toEngine = opts.Scheme, nascent.EngineVMOpt
+		// A tripped engine degrades down the engine table's ladder
+		// (vm.EngineSpec.Degrade), not to the floor: identical
+		// observables, a tier's worth of speed each step, skipping any
+		// rung whose own circuit is open. When the ladder runs out the
+		// reference configuration serves.
+		toScheme, toEngine := opts.Scheme, vm.Spec(engine).Degrade
+		for toEngine != nascent.EngineTree && s.breaker.isOpen(opts.Scheme, toEngine) {
+			toEngine = vm.Spec(toEngine).Degrade
+		}
+		if toEngine == nascent.EngineTree {
+			toScheme = nascent.Naive
 		}
 		r.degraded = &Degraded{
 			FromScheme: opts.Scheme.String(),

@@ -136,31 +136,11 @@ func (s *DispatchStats) String() string {
 	return b.String()
 }
 
-// CompileOptimized is Compile followed by Optimize. An optimizer
-// failure (a contained panic surfacing as *guard.InternalError)
-// degrades to the unoptimized program rather than failing the run —
-// the same degrade-don't-fail posture as the IR optimizer — so a vmopt
-// run is never worse than a vm run. Optimizer correctness is pinned
-// directly by opt_test.go, which calls Optimize and fails loudly.
+// CompileOptimized is Compile followed by Optimize: the vmopt
+// pipeline of the engine table. An optimizer failure degrades to the
+// unoptimized program, so a vmopt run is never worse than a vm run.
 func CompileOptimized(p *ir.Program) (*Program, error) {
-	vp, err := Compile(p)
-	if err != nil {
-		return nil, err
-	}
-	if ovp, oerr := Optimize(vp); oerr == nil {
-		return ovp, nil
-	}
-	return vp, nil
-}
-
-func init() {
-	interp.RegisterEngine(interp.EngineVMOpt, func(p *ir.Program, cfg interp.Config) (interp.Result, error) {
-		vp, err := CompileOptimized(p)
-		if err != nil {
-			return interp.Result{}, err
-		}
-		return vp.Run(cfg)
-	})
+	return Build(interp.EngineVMOpt, p)
 }
 
 // Optimize rewrites a freshly compiled program (it must not already be

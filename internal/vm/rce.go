@@ -69,16 +69,6 @@ import (
 	"nascent/internal/ir"
 )
 
-func init() {
-	interp.RegisterEngine(interp.EngineVMRCE, func(p *ir.Program, cfg interp.Config) (interp.Result, error) {
-		vp, err := CompileRCE(p)
-		if err != nil {
-			return interp.Result{}, err
-		}
-		return vp.Run(cfg)
-	})
-}
-
 // loopMeta is the compile-time residue of one ir.DoLoopInfo in
 // bytecode-pc terms, captured by compiler.captureLoops. It is
 // transient analysis metadata — progio deliberately does not serialize
@@ -94,24 +84,11 @@ type loopMeta struct {
 }
 
 // CompileRCE is Compile followed by RCE followed by Optimize — the
-// full vmrce (and vmjit input) pipeline. Like CompileOptimized, each
-// rewrite stage degrades rather than fails: a contained RCE panic
-// falls back to the plain compile, a contained Optimize panic to the
-// (possibly guard-rewritten) input, so a vmrce run is never worse than
+// vmrce (and vmjit input) pipeline of the engine table. Each rewrite
+// stage degrades rather than fails, so a vmrce run is never worse than
 // a vm run.
 func CompileRCE(p *ir.Program) (*Program, error) {
-	vp, err := Compile(p)
-	if err != nil {
-		return nil, err
-	}
-	rp, rerr := RCE(vp)
-	if rerr != nil {
-		rp = vp
-	}
-	if ovp, oerr := Optimize(rp); oerr == nil {
-		return ovp, nil
-	}
-	return rp, nil
+	return Build(interp.EngineVMRCE, p)
 }
 
 // OptimizeRCE is RCE followed by Optimize, for callers that already

@@ -184,7 +184,36 @@ func FromBytecode(base *vm.Program, th Thresholds) *Program {
 	return &Program{th: th.withDefaults(), base: base}
 }
 
-// Tier names, as reported by Snapshot and the service metrics.
+// Promotes reports whether engine e runs through the tiering
+// controller, whose tier moves with hotness, rather than at one tier.
+func Promotes(e interp.Engine) bool { return e == interp.EngineTiered }
+
+// Handle is a run handle that warms up in the background: a tiering
+// controller or a JitHandle.
+type Handle interface {
+	vm.Runner
+	Settle()
+	Snapshot() Snapshot
+}
+
+// NewHandle returns the run handle engine e executes its bytecode
+// (vm.Build(e, ...)) through: the tiering controller under th for an
+// engine that Promotes, a JitHandle for one whose vm.EngineSpec
+// closure-compiles, and vp itself for the rest. It is the one place
+// that picks a handle by engine.
+func NewHandle(e interp.Engine, vp *vm.Program, th Thresholds) vm.Runner {
+	if Promotes(e) {
+		return FromBytecode(vp, th)
+	}
+	if vm.Spec(e).JIT {
+		return &JitHandle{vp: vp}
+	}
+	return vp
+}
+
+// Tier names, as reported by Snapshot and the service metrics. Each is
+// the name of the engine whose bytecode the tier runs, so
+// interp.ParseEngine maps a tier to its row of the vm engine table.
 const (
 	TierVM    = "vm"
 	TierVMOpt = "vmopt"
@@ -393,8 +422,8 @@ func (tp *Program) promoteRce() {
 // program actually executes and no run ever blocks on the compile.
 // A contained jit failure (compile, chaos-injected promotion failure,
 // or run) tombstones the closure tier and the handle keeps serving on
-// the optimized switch VM — never the tree. The evalpool program cache
-// holds one per vmjit entry.
+// the optimized switch VM — never the tree. NewHandle builds one over
+// the guard/deopt-rewritten stream for vmjit.
 type JitHandle struct {
 	vp        *vm.Program
 	profiling atomic.Bool
@@ -409,13 +438,6 @@ type JitHandle struct {
 
 	wg sync.WaitGroup
 }
-
-// NewJitHandle wraps a rewritten bytecode program. The caller is
-// responsible for vp being the jit's defined input — the guard/deopt-
-// rewritten, optimized stream (vm.CompileRCE). The closure compiler
-// accepts plain optimized (or even naive) bytecode too, but then the
-// handle serves that lower tier while warming.
-func NewJitHandle(vp *vm.Program) *JitHandle { return &JitHandle{vp: vp} }
 
 // Run executes one request: on the closure tier once it exists, else
 // on the optimized switch VM (the first run doubling as the profiling

@@ -32,8 +32,8 @@ import (
 	"nascent/internal/sem"
 
 	// Link the bytecode VM and the tiering controller so
-	// RunConfig{Engine: EngineVM} (and vmopt/vmjit/tiered) is available
-	// to every importer of the public API.
+	// RunConfig{Engine: EngineVM} (and vmopt/vmrce/vmjit/tiered) is
+	// available to every importer of the public API.
 	_ "nascent/internal/vm"
 	_ "nascent/internal/vm/tier"
 )
@@ -199,12 +199,12 @@ type OptReport struct {
 type RunResult = interp.Result
 
 // RunConfig bounds execution. Its Engine field selects the execution
-// substrate (EngineTree or EngineVM); both produce identical
-// observables.
+// substrate (EngineTree, the default, or one of the bytecode engines);
+// every engine produces identical observables.
 type RunConfig = interp.Config
 
-// Engine selects the execution substrate of a run. Both engines
-// implement the same observable contract — identical dynamic
+// Engine selects the execution substrate of a run. Every engine
+// implements the same observable contract — identical dynamic
 // instruction counts, check counts, outputs, traps, and resource
 // budgets — so every table and oracle sweep is engine-independent.
 type Engine = interp.Engine
