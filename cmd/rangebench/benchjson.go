@@ -87,19 +87,28 @@ func cpuModel() string {
 type benchProg struct {
 	name   string
 	instrs uint64
-	run    map[string]func() error
+	run    map[string]vm.Runner
 }
 
-// warmThresholds promote a tiered program at its first, second and
-// third completed run, so warm-up reaches the top tier.
-var warmThresholds = tier.Thresholds{OptRuns: 1, RceRuns: 2, JitRuns: 3}
+// runFunc adapts a run function to vm.Runner.
+type runFunc func(nascent.RunConfig) (nascent.RunResult, error)
+
+func (f runFunc) Run(cfg nascent.RunConfig) (nascent.RunResult, error) { return f(cfg) }
+
+// Warm-up bounds: every handle runs at least minWarmRuns times, and one
+// that warms up in the background but is still off the jit after
+// maxWarmRuns runs is an error.
+const (
+	minWarmRuns = 5
+	maxWarmRuns = 50
+)
 
 // prepare compiles one suite program for every registered engine
 // through the engine table and warms each engine's run handle to its
 // steady state. The jit fuses what this program's own dispatch profile
-// says it executes, and the tiering controller is promoted past all
-// three promotion points, so the timed runs measure the top tier plus
-// the (cheap) hotness bookkeeping a long-lived program pays.
+// says it executes, and the tiering controller is promoted to the jit,
+// so the timed runs measure the top tier plus the (cheap) hotness
+// bookkeeping a long-lived program pays.
 func prepare(name, source string) (*benchProg, error) {
 	cp, err := nascent.Compile(source, nascent.Options{BoundsChecks: true})
 	if err != nil {
@@ -109,34 +118,50 @@ func prepare(name, source string) (*benchProg, error) {
 	if err != nil {
 		return nil, fmt.Errorf("run: %w", err)
 	}
-	bp := &benchProg{name: name, instrs: res.Instructions, run: map[string]func() error{}}
+	bp := &benchProg{name: name, instrs: res.Instructions, run: map[string]vm.Runner{}}
 	for _, e := range nascent.AllEngines() {
 		if e == nascent.EngineTree {
-			bp.run[e.String()] = func() error { _, err := cp.RunWith(nascent.RunConfig{}); return err }
+			bp.run[e.String()] = runFunc(cp.RunWith)
 			continue
 		}
 		vp, err := vm.Build(e, cp.IR)
 		if err != nil {
 			return nil, fmt.Errorf("%v compile: %w", e, err)
 		}
-		h := tier.NewHandle(e, vp, warmThresholds)
-		for i := 0; i < 5; i++ {
-			if _, err := h.Run(nascent.RunConfig{}); err != nil {
-				return nil, fmt.Errorf("%v warm-up: %w", e, err)
-			}
+		h := tier.NewHandle(e, vp)
+		if err := warmUp(h); err != nil {
+			return nil, fmt.Errorf("%v warm-up: %w", e, err)
 		}
-		if th, ok := h.(tier.Handle); ok {
-			th.Settle()
-		}
-		bp.run[e.String()] = func() error { _, err := h.Run(nascent.RunConfig{}); return err }
+		bp.run[e.String()] = h
 	}
 	return bp, nil
+}
+
+// warmUp runs r until it is in its steady state. A handle that warms
+// up in the background is settled after every run, so each promotion
+// lands before the next run's entry decision, and is warm once it
+// serves on the jit.
+func warmUp(r vm.Runner) error {
+	h, background := r.(tier.Handle)
+	for runs := 0; runs < minWarmRuns || background && h.Snapshot().Tier != tier.TierVMJit; runs++ {
+		if runs == maxWarmRuns {
+			return fmt.Errorf("at tier %s after %d runs, want %s", h.Snapshot().Tier, runs, tier.TierVMJit)
+		}
+		if _, err := r.Run(nascent.RunConfig{}); err != nil {
+			return err
+		}
+		if background {
+			h.Settle()
+		}
+	}
+	return nil
 }
 
 // timeProgram measures one program under one engine with a calibrated
 // loop: one warm-up run, then at least minIters iterations and minTime
 // of wall clock.
-func timeProgram(run func() error) (int64, error) {
+func timeProgram(r vm.Runner) (int64, error) {
+	run := func() error { _, err := r.Run(nascent.RunConfig{}); return err }
 	const (
 		minIters = 3
 		minTime  = 30 * time.Millisecond
@@ -203,9 +228,9 @@ func runBenchJSON(path string) int {
 			"originals, eliminated checks bulk-counted); vmjit compiles each " +
 			"basic block of the vmrce bytecode into chained Go closures and " +
 			"fuses the digrams/trigrams the program's own dispatch profile " +
-			"ranks hot; tiered starts on vm and promotes through vmopt and " +
-			"vmrce to vmjit in the background as hotness thresholds are " +
-			"crossed (measured here fully warm). Every observable (counters, " +
+			"ranks hot; tiered starts on vm and, once hot, builds the vmrce " +
+			"bytecode in the background and hands its runs to vmjit's " +
+			"warm-up (measured here fully warm). Every observable (counters, " +
 			"traps, output) is pinned identical by the conformance corpus and " +
 			"golden tables.",
 	}
@@ -223,7 +248,7 @@ func runBenchJSON(path string) int {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					for _, c := range progs {
-						if err := c.run[name](); err != nil {
+						if _, err := c.run[name].Run(nascent.RunConfig{}); err != nil {
 							failed = err
 						}
 					}

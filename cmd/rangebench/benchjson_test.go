@@ -5,7 +5,36 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"nascent/internal/suite"
+	"nascent/internal/vm/tier"
 )
+
+// TestPrepareWarmsToTopTier checks that prepare hands the timer every
+// handle that warms up in the background (vmjit's and tiered's) at its
+// top tier, so the -benchjson rows of both measure the jit.
+func TestPrepareWarmsToTopTier(t *testing.T) {
+	for _, p := range suite.Programs {
+		bp, err := prepare(p.Name, p.Source)
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name, err)
+		}
+		warming := 0
+		for name, r := range bp.run {
+			h, ok := r.(tier.Handle)
+			if !ok {
+				continue
+			}
+			warming++
+			if s := h.Snapshot(); s.Tier != tier.TierVMJit {
+				t.Errorf("%s/%s: prepared at tier %s, want %s (%+v)", p.Name, name, s.Tier, tier.TierVMJit, s)
+			}
+		}
+		if warming != 2 {
+			t.Errorf("%s: %d handles warm up in the background, want 2 (vmjit, tiered)", p.Name, warming)
+		}
+	}
+}
 
 // TestBenchDiffCommittedDocs round-trips two committed BENCH documents
 // through -benchdiff: every engine row and every per-program row they

@@ -579,7 +579,7 @@ func (p *Pool) fill(i int, job *Job, fs *frontends, res *Result) (*program, *nas
 // install wraps a bytecode program in the run handle its engine
 // executes through.
 func (p *Pool) install(eng nascent.Engine, vp *vm.Program, staticChecks int, opt *nascent.OptReport) *program {
-	return &program{run: tier.NewHandle(eng, vp, p.cfg.TierThresholds), engine: eng, staticChecks: staticChecks, opt: opt}
+	return &program{run: tier.NewHandle(eng, vp), engine: eng, staticChecks: staticChecks, opt: opt}
 }
 
 // SettleTiers blocks until no background tier promotion (a vmjit

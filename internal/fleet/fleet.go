@@ -66,9 +66,6 @@ type Config struct {
 	HedgeAfter time.Duration
 	// Logf receives member lifecycle lines (default: discard).
 	Logf func(format string, args ...any)
-	// TierThresholds tune the tiered engine's coordinator-local
-	// promotion points (zero fields select the tier package defaults).
-	TierThresholds tier.Thresholds
 }
 
 // Fleet shards job runs across worker processes. It implements
@@ -308,10 +305,10 @@ func (f *Fleet) Evaluate(jobs []evalpool.Job) []evalpool.Result {
 }
 
 // resolveTier makes the coordinator-local promotion decision for one
-// job: a tiered job consults the per-program completed-run counter
-// against the promotion thresholds — the same entry-time,
-// completed-runs semantics as tier.Program, so a program evaluated
-// once never recompiles — and an engine that closure-compiles always
+// job: a tiered job ships the tier a settled in-process tier.Program
+// with the same completed-run count would run it on
+// (tier.Thresholds.TierForRuns), so a program evaluated once never
+// recompiles — and an engine that closure-compiles always
 // ships its own tier (the worker compiles the closures from the bytes
 // it receives). All other engines carry no tier.
 func (f *Fleet) resolveTier(job *evalpool.Job) string {
@@ -322,7 +319,7 @@ func (f *Fleet) resolveTier(job *evalpool.Job) string {
 		runs := st.runs
 		st.runs++
 		f.mu.Unlock()
-		return f.cfg.TierThresholds.TierForRuns(runs)
+		return tier.Thresholds{}.TierForRuns(runs)
 	}
 	if vm.Spec(e).JIT {
 		return e.String()

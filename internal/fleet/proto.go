@@ -108,7 +108,7 @@ type request struct {
 	Opts     *wireOptions `json:"opts,omitempty"`
 
 	// Tier is the execution tier for a program-shipped job ("vm",
-	// "vmopt", "vmrce", or "vmjit", which closure-compiles the bytes;
+	// "vmrce", or "vmjit", which closure-compiles the bytes;
 	// empty means: run the bytes as shipped on the switch VM). The coordinator decides it — for the tiered engine in
 	// job-submission order — so workers never make promotion decisions
 	// and the shipped bytes plus this field fully determine execution.

@@ -11,12 +11,14 @@ import (
 	"nascent/internal/progio"
 	"nascent/internal/suite"
 	"nascent/internal/vm"
+	"nascent/internal/vm/tier"
 )
 
 // TestShipmentBytecode pins which bytecode a job ships for every engine
 // and resolved tier: the base lowering for vm and a cold tiered
 // program, the optimized stream for vmopt, and the guard/deopt stream
-// for vmrce and vmjit, which closure-compiles it. A tree job ships
+// for vmrce, vmjit, which closure-compiles it, and a hot tiered
+// program. A tree job ships
 // source only, and only vmjit and tiered jobs carry a tier. The
 // pipelines are spelled out here, not read from the
 // engine table.
@@ -56,7 +58,6 @@ func TestShipmentBytecode(t *testing.T) {
 		{"vmrce", "", rce},
 		{"vmjit", "vmjit", rce},
 		{"tiered", "vm", base},
-		{"tiered", "vmopt", opt},
 		{"tiered", "vmrce", rce},
 		{"tiered", "vmjit", rce},
 	} {
@@ -90,5 +91,42 @@ func TestShipmentBytecode(t *testing.T) {
 		if got := f.resolveTier(job); got != want {
 			t.Errorf("%s: resolved tier %q, want %q", engine, got, want)
 		}
+	}
+}
+
+// TestResolveTierMatchesSettledProgram pins the fleet's tier decisions
+// to the in-process controller's: over run counts 0..6 a tiered job
+// resolves to the tier a settled tier.Program reports at each run's
+// entry, the ladder vm, vm, vm, vmrce, vmjit, ... The program is small
+// enough that the instruction arm, which the fleet does not follow,
+// never fires.
+func TestResolveTierMatchesSettledProgram(t *testing.T) {
+	f, err := New(Config{Workers: 1, HeartbeatInterval: -1, Command: func(int) *exec.Cmd { return nil }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	src := "program p\n  real a(4)\n  a(2) = 1.0\n  print a(2)\nend\n"
+	opts := nascent.Options{BoundsChecks: true}
+	prog, err := nascent.Compile(src, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vp, err := vm.Compile(prog.IR)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tp := tier.FromBytecode(vp, tier.Thresholds{})
+	job := &evalpool.Job{Name: "p", Source: src, Opts: opts, Run: nascent.RunConfig{Engine: nascent.EngineTiered}}
+	want := []string{tier.TierVM, tier.TierVM, tier.TierVM, tier.TierVMRCE, tier.TierVMJit, tier.TierVMJit, tier.TierVMJit}
+	for run, ladder := range want {
+		inProcess := tp.Snapshot().Tier
+		if got := f.resolveTier(job); got != inProcess || got != ladder {
+			t.Errorf("run %d: fleet resolved %q, settled in-process program at %q, want %q", run, got, inProcess, ladder)
+		}
+		if _, err := tp.Run(nascent.RunConfig{}); err != nil {
+			t.Fatal(err)
+		}
+		tp.Settle()
 	}
 }

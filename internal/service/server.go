@@ -87,11 +87,9 @@ type Config struct {
 	// ProgCacheDir.
 	ScrubInterval time.Duration
 
-	// Pool configures the supervised evalpool: retry/quarantine policy,
-	// and the tiered engine's promotion points (Pool.TierThresholds;
-	// hotness is process state, so cache entries — memory or disk —
-	// always start at the cold tier, and thresholds only shape when a
-	// warm entry recompiles, never what any run observes).
+	// Pool configures the supervised evalpool: retry/quarantine policy
+	// and the program cache bound. Tiered hotness is process state, so
+	// cache entries — memory or disk — always start at the cold tier.
 	Pool evalpool.Config
 
 	// Logf receives operational log lines (default log.Printf).

@@ -54,7 +54,7 @@ func TestEngineTable(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: Build: %v", e, err)
 		}
-		h := tier.NewHandle(e, vp, tier.Thresholds{OptRuns: 1, RceRuns: 2, JitRuns: 3})
+		h := tier.NewHandle(e, vp)
 		for run := 0; run < 6; run++ {
 			got, err := h.Run(interp.Config{})
 			if err != nil {

@@ -73,29 +73,6 @@ func (s *DispatchStats) count(op uint8) {
 	s.ByOp[op]++
 }
 
-// Merge folds another run's dispatch counts into s. The tiering
-// controller accumulates one profile per program across its vmopt-tier
-// runs this way before handing the sum to JITCompile. Static and the
-// cross-run digram seam (o's first opcode after s's last) follow the
-// donor: Static is per-program anyway, and the seam pair is noise far
-// below any fusion floor.
-func (s *DispatchStats) Merge(o *DispatchStats) {
-	s.Static = o.Static
-	s.Dispatched += o.Dispatched
-	for i := range o.ByOp {
-		s.ByOp[i] += o.ByOp[i]
-	}
-	for i := range o.Pairs {
-		for k, n := range o.Pairs[i] {
-			if n != 0 {
-				s.Pairs[i][k] += n
-			}
-		}
-	}
-	s.ChecksEliminated += o.ChecksEliminated
-	s.last = o.last
-}
-
 // PairCount returns how often opcode b dispatched immediately after
 // opcode a during the profiled run.
 func (s *DispatchStats) PairCount(a, b uint8) uint64 {

@@ -13,8 +13,8 @@ import (
 // the closure-compiled jit and the tiering controller, extending the
 // per-engine corpus pins of internal/interp (tree) and internal/vm
 // (vm, vmopt) to the two new engines. The tiered run is repeated past
-// both promotion points so the pinned observables cover every tier the
-// controller can serve a run from, not just the cold one.
+// its promotion and the jit's so the pinned observables cover every
+// tier the controller can serve a run from, not just the cold one.
 func TestCorpusTopTiers(t *testing.T) {
 	for _, c := range conformance.Corpus {
 		c := c
@@ -58,7 +58,7 @@ func TestCorpusTopTiers(t *testing.T) {
 
 			// Settle after every run so each background promotion lands
 			// before the next entry decision: the sweep then
-			// deterministically serves runs from vm, vmopt, and vmjit.
+			// deterministically serves runs from vm, vmrce, and vmjit.
 			tp := compileTiered(t, c.Src, fastTh)
 			for i := 0; i < 6; i++ {
 				res, err := tp.Run(nascent.RunConfig{})
