@@ -5,19 +5,23 @@ package vm
 //
 // Where fuse.go fuses a fixed pattern table at the bytecode level, the
 // jit fuses whatever the profile says this workload actually executes:
-// an adjacent-in-code opcode digram (or trigram) is collapsed into one
-// closure when its dynamic pair count in the DispatchStats profile
-// clears the hotness floor. The fused closure runs both instruction
-// bodies back to back — each with its own cost charge at the exact
-// point the unfused pair charged it — so observables are untouched;
-// only dispatch count drops.
+// an adjacent-in-code opcode digram, or a straight-line run of up to
+// runCap instructions, is collapsed into one closure when every link's
+// dynamic pair count in the DispatchStats profile clears the hotness
+// floor. The fused closure runs the instruction bodies back to back —
+// each with its own cost charge at the exact point the unfused chain
+// charged it — so observables are untouched; only dispatch count drops.
 //
 // Fusing at block boundaries is safe by construction: heads[pc+1]
 // keeps its standalone closure, so a branch into the middle of a fused
 // pair enters the plain chain. The heavy bodies are shared with the
-// singles as captured-operand executors (jit.go), chained here with
-// direct method calls; the trivial bodies (moves, adds, loop latches)
-// are inlined.
+// singles as captured-operand executors (jit.go). Runs and most
+// digrams compose them generically through their step functions. A
+// digram gets a handwritten combinator only where it pays: a branch,
+// which has no step executor, or a pair that fires on vmjit's own
+// (guard-rewritten) bytecode and measurably wins from direct method
+// calls (EXPERIMENTS.md, "Fuse in the jit only what vmjit's bytecode
+// reaches").
 
 import "nascent/internal/interp"
 
@@ -56,9 +60,8 @@ func (b *jitBuilder) markFused(pc int32, ops ...uint8) {
 }
 
 // fused compiles a superinstruction entry for pc when the profile
-// marks the digram (or trigram) starting there hot and a combinator
-// for its opcode pattern exists. Returns nil to fall back to the plain
-// chain.
+// marks the digram starting there hot and a combinator for its opcode
+// pattern exists. Returns nil to fall back to the plain chain.
 func (b *jitBuilder) fused(pc int32) jop {
 	code := b.vp.code
 	if b.prof == nil || int(pc)+1 >= len(code) {
@@ -71,21 +74,13 @@ func (b *jitBuilder) fused(pc int32) jop {
 	}
 	b.stats.HotSites++
 
-	// Trigrams first: a hot digram extended by a hot second link, when
-	// the three-opcode combinator exists. When no handwritten trigram
-	// matches, a straight-line run combinator takes as many hot
-	// step-executable links as the code offers in one closure.
-	if int(pc)+2 < len(code) {
-		in2 := &code[pc+2]
-		if b.hot(in1.op, in2.op) {
-			if f := b.fuse3(pc, in0, in1, in2); f != nil {
-				b.markFused(pc, in0.op, in1.op, in2.op)
-				return f
-			}
-			if f, ops := b.fuseRun(pc); f != nil {
-				b.markFused(pc, ops...)
-				return f
-			}
+	// Runs first: when the second link is hot too, a straight-line run
+	// combinator takes as many hot step-executable links as the code
+	// offers in one closure.
+	if int(pc)+2 < len(code) && b.hot(in1.op, code[pc+2].op) {
+		if f, ops := b.fuseRun(pc); f != nil {
+			b.markFused(pc, ops...)
+			return f
 		}
 	}
 	if f := b.fuse2(pc, in0, in1); f != nil {
@@ -96,7 +91,9 @@ func (b *jitBuilder) fused(pc int32) jop {
 }
 
 // fuse2 builds the digram combinator for (in0, in1) at pc, or nil if
-// the pattern has none.
+// the pattern has none. The handwritten cases are the branch digrams
+// and the step pairs that fire on vmjit's bytecode; every other pair
+// of step-executable opcodes composes through the generic fallback.
 func (b *jitBuilder) fuse2(pc int32, in0, in1 *instr) jop {
 	c0 := uint64(in0.cost)
 	c1 := uint64(in1.cost)
@@ -142,42 +139,10 @@ func (b *jitBuilder) fuse2(pc int32, in0, in1 *instr) jop {
 			return *phF
 		}
 
-	// Integer add feeding an affine float load+bin (subscript chain
-	// into the next statement's operand).
-	case in0.op == opAddI && in1.op == opLoadBinF1:
-		dst, l, r := in0.a, in0.b, in0.c
-		o := b.newLoadBinF1(in1)
-		return func(j *jmach) jop {
-			if c0 != 0 && !j.charge(c0) {
-				return nil
-			}
-			j.ireg[dst] = j.ireg[l] + j.ireg[r]
-			if c1 != 0 && !j.charge(c1) {
-				return nil
-			}
-			if !o.exec(j) {
-				return nil
-			}
-			return next
-		}
-
-	case in0.op == opAddI && in1.op == opLLBinF1:
-		dst, l, r := in0.a, in0.b, in0.c
-		o := b.newLLBinF1(in1)
-		return func(j *jmach) jop {
-			if c0 != 0 && !j.charge(c0) {
-				return nil
-			}
-			j.ireg[dst] = j.ireg[l] + j.ireg[r]
-			if c1 != 0 && !j.charge(c1) {
-				return nil
-			}
-			if !o.exec(j) {
-				return nil
-			}
-			return next
-		}
-
+	// Step pairs hot on vmjit's bytecode, chained with direct
+	// (monomorphic) method calls: measurably faster than the generic
+	// fallback's func-value calls on vortex, arc2d and dyfesm.
+	//
 	// 2-D load feeding an integer add (gather + subscript arithmetic).
 	case (in0.op == opLoadF2 || in0.op == opLoadI2) && in1.op == opAddI:
 		l0 := b.build1Exec2D(in0)
@@ -219,190 +184,6 @@ func (b *jitBuilder) fuse2(pc int32, in0, in1 *instr) jop {
 	case in0.op == opCheck && in1.op == opCheck:
 		o0 := b.newCheck(in0)
 		o1 := b.newCheck(in1)
-		return func(j *jmach) jop {
-			if c0 != 0 && !j.charge(c0) {
-				return nil
-			}
-			if !o0.exec(j) {
-				return nil
-			}
-			if c1 != 0 && !j.charge(c1) {
-				return nil
-			}
-			if !o1.exec(j) {
-				return nil
-			}
-			return next
-		}
-
-	case in0.op == opCheckPair && in1.op == opCheckPair:
-		o0 := b.newCheckPair(in0)
-		o1 := b.newCheckPair(in1)
-		return func(j *jmach) jop {
-			if c0 != 0 && !j.charge(c0) {
-				return nil
-			}
-			if !o0.exec(j) {
-				return nil
-			}
-			if c1 != 0 && !j.charge(c1) {
-				return nil
-			}
-			if !o1.exec(j) {
-				return nil
-			}
-			return next
-		}
-
-	// Concrete pairings of the heavyweight executors: chained with
-	// direct (monomorphic) method calls, one per family the profile
-	// shows hot on real workloads.
-	case in0.op == opCheckBlock && isChk1Acc(in1.op):
-		o0, o1 := b.newCheckBlock(in0), b.newChk1Acc(in1)
-		return func(j *jmach) jop {
-			if c0 != 0 && !j.charge(c0) {
-				return nil
-			}
-			if !o0.exec(j) {
-				return nil
-			}
-			if c1 != 0 && !j.charge(c1) {
-				return nil
-			}
-			if !o1.exec(j) {
-				return nil
-			}
-			return next
-		}
-
-	case in0.op == opCheckBlock && isCPQAcc(in1.op):
-		o0, o1 := b.newCheckBlock(in0), b.newCPQAcc(in1)
-		return func(j *jmach) jop {
-			if c0 != 0 && !j.charge(c0) {
-				return nil
-			}
-			if !o0.exec(j) {
-				return nil
-			}
-			if c1 != 0 && !j.charge(c1) {
-				return nil
-			}
-			if !o1.exec(j) {
-				return nil
-			}
-			return next
-		}
-
-	case in0.op == opCheckBlock && in1.op == opLLBinF1:
-		o0, o1 := b.newCheckBlock(in0), b.newLLBinF1(in1)
-		return func(j *jmach) jop {
-			if c0 != 0 && !j.charge(c0) {
-				return nil
-			}
-			if !o0.exec(j) {
-				return nil
-			}
-			if c1 != 0 && !j.charge(c1) {
-				return nil
-			}
-			if !o1.exec(j) {
-				return nil
-			}
-			return next
-		}
-
-	case in0.op == opCheckBlock && is2DAcc(in1.op):
-		o0, o1 := b.newCheckBlock(in0), b.build1Exec2D(in1)
-		return func(j *jmach) jop {
-			if c0 != 0 && !j.charge(c0) {
-				return nil
-			}
-			if !o0.exec(j) {
-				return nil
-			}
-			if c1 != 0 && !j.charge(c1) {
-				return nil
-			}
-			if !o1.exec(j) {
-				return nil
-			}
-			return next
-		}
-
-	case isChk1Acc(in0.op) && in1.op == opLoadBinF1:
-		o0, o1 := b.newChk1Acc(in0), b.newLoadBinF1(in1)
-		return func(j *jmach) jop {
-			if c0 != 0 && !j.charge(c0) {
-				return nil
-			}
-			if !o0.exec(j) {
-				return nil
-			}
-			if c1 != 0 && !j.charge(c1) {
-				return nil
-			}
-			if !o1.exec(j) {
-				return nil
-			}
-			return next
-		}
-
-	case isChk1Acc(in0.op) && isChk1Acc(in1.op):
-		o0, o1 := b.newChk1Acc(in0), b.newChk1Acc(in1)
-		return func(j *jmach) jop {
-			if c0 != 0 && !j.charge(c0) {
-				return nil
-			}
-			if !o0.exec(j) {
-				return nil
-			}
-			if c1 != 0 && !j.charge(c1) {
-				return nil
-			}
-			if !o1.exec(j) {
-				return nil
-			}
-			return next
-		}
-
-	case in0.op == opCheckPair && isChk1Acc(in1.op):
-		o0, o1 := b.newCheckPair(in0), b.newChk1Acc(in1)
-		return func(j *jmach) jop {
-			if c0 != 0 && !j.charge(c0) {
-				return nil
-			}
-			if !o0.exec(j) {
-				return nil
-			}
-			if c1 != 0 && !j.charge(c1) {
-				return nil
-			}
-			if !o1.exec(j) {
-				return nil
-			}
-			return next
-		}
-
-	case isCPQAcc(in0.op) && in1.op == opBinBinStoreF2:
-		o0, o1 := b.newCPQAcc(in0), b.newBinBinStoreF2(in1)
-		return func(j *jmach) jop {
-			if c0 != 0 && !j.charge(c0) {
-				return nil
-			}
-			if !o0.exec(j) {
-				return nil
-			}
-			if c1 != 0 && !j.charge(c1) {
-				return nil
-			}
-			if !o1.exec(j) {
-				return nil
-			}
-			return next
-		}
-
-	case in0.op == opBinBinStoreF2 && in1.op == opCheckBlock:
-		o0, o1 := b.newBinBinStoreF2(in0), b.newCheckBlock(in1)
 		return func(j *jmach) jop {
 			if c0 != 0 && !j.charge(c0) {
 				return nil
@@ -605,141 +386,6 @@ func (b *jitBuilder) fuse2(pc int32, in0, in1 *instr) jop {
 		}
 		return next
 	}
-}
-
-// Family membership helpers for the concrete combinator table.
-func isChk1Acc(op uint8) bool { return op >= opC1LoadI1 && op <= opCP2StoreF1 }
-func isCPQAcc(op uint8) bool  { return op >= opCPQLoadI2 && op <= opCPQStoreF2 }
-func is2DAcc(op uint8) bool   { return op >= opLoadI2 && op <= opStoreF2 }
-
-// fuse3 builds the trigram combinator for (in0, in1, in2) at pc, or
-// nil if the pattern has none.
-func (b *jitBuilder) fuse3(pc int32, in0, in1, in2 *instr) jop {
-	c0, c1, c2 := uint64(in0.cost), uint64(in1.cost), uint64(in2.cost)
-	next := b.heads[pc+3]
-
-	// The dominant checked 2-D update: checkblock guarding a CPQ load
-	// whose value feeds a binbin store — one closure per statement.
-	if in0.op == opCheckBlock &&
-		(in1.op == opCPQLoadF2 || in1.op == opCPQLoadI2) &&
-		in2.op == opBinBinStoreF2 {
-		cb := b.newCheckBlock(in0)
-		q := b.newCPQAcc(in1)
-		st := b.newBinBinStoreF2(in2)
-		return func(j *jmach) jop {
-			if c0 != 0 && !j.charge(c0) {
-				return nil
-			}
-			if !cb.exec(j) {
-				return nil
-			}
-			if c1 != 0 && !j.charge(c1) {
-				return nil
-			}
-			if !q.exec(j) {
-				return nil
-			}
-			if c2 != 0 && !j.charge(c2) {
-				return nil
-			}
-			if !st.exec(j) {
-				return nil
-			}
-			return next
-		}
-	}
-
-	// Checked 2-D read pair: checkblock, CPQ load, then a plain fused
-	// float load+bin on the same row — the stencil-read shape.
-	if in0.op == opCheckBlock &&
-		(in1.op == opCPQLoadF2 || in1.op == opCPQLoadI2) &&
-		in2.op == opLoadBinF2 {
-		cb := b.newCheckBlock(in0)
-		q := b.newCPQAcc(in1)
-		lb := b.newLoadBinF2(in2)
-		return func(j *jmach) jop {
-			if c0 != 0 && !j.charge(c0) {
-				return nil
-			}
-			if !cb.exec(j) {
-				return nil
-			}
-			if c1 != 0 && !j.charge(c1) {
-				return nil
-			}
-			if !q.exec(j) {
-				return nil
-			}
-			if c2 != 0 && !j.charge(c2) {
-				return nil
-			}
-			if !lb.exec(j) {
-				return nil
-			}
-			return next
-		}
-	}
-
-	// Checked 1-D read feeding a load+bin: the inner-loop body of the
-	// reduction kernels.
-	if in0.op == opCheckPair && isChk1Acc(in1.op) && in2.op == opLoadBinF1 {
-		cp := b.newCheckPair(in0)
-		a := b.newChk1Acc(in1)
-		lb := b.newLoadBinF1(in2)
-		return func(j *jmach) jop {
-			if c0 != 0 && !j.charge(c0) {
-				return nil
-			}
-			if !cp.exec(j) {
-				return nil
-			}
-			if c1 != 0 && !j.charge(c1) {
-				return nil
-			}
-			if !a.exec(j) {
-				return nil
-			}
-			if c2 != 0 && !j.charge(c2) {
-				return nil
-			}
-			if !lb.exec(j) {
-				return nil
-			}
-			return next
-		}
-	}
-
-	// Checked 1-D load whose value runs through load+bin into an
-	// element store: one closure per a[i] = b[i] ⊕ c[i] statement.
-	if isChk1Acc(in0.op) && in1.op == opLoadBinF1 &&
-		(in2.op == opBinStoreI1 || in2.op == opBinStoreF1) {
-		a := b.newChk1Acc(in0)
-		lb := b.newLoadBinF1(in1)
-		st := b.newBinStore1(in2)
-		return func(j *jmach) jop {
-			if c0 != 0 && !j.charge(c0) {
-				return nil
-			}
-			if !a.exec(j) {
-				return nil
-			}
-			if c1 != 0 && !j.charge(c1) {
-				return nil
-			}
-			if !lb.exec(j) {
-				return nil
-			}
-			if c2 != 0 && !j.charge(c2) {
-				return nil
-			}
-			if !st.exec(j) {
-				return nil
-			}
-			return next
-		}
-	}
-
-	return nil
 }
 
 // jstep is one slot of a straight-line run: the instruction's dispatch
@@ -1006,7 +652,7 @@ func (o *jexec2D) exec(j *jmach) bool {
 
 // stepExec returns a step function for the opcodes whose bodies are
 // already factored as captured-operand executors — the building block
-// of the generic digram/trigram combinators — plus the executor's own
+// of the generic digram and run combinators — plus the executor's own
 // worst-case internal deferred charge (the amount it may j.charge or
 // commit on top of the dispatch cost during one exec), which the run
 // combinator folds into its budget window. Branches, calls, and the
